@@ -3,7 +3,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload grid-cold --seed 7 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload grid-cold --seed 7 --seconds 30 --trace 0
 
 Workloads (see README.md): ``grid-cold`` (the 72-point paper grid
 simulated into a fresh store, one op per point), ``grid-warm`` (a cheap
@@ -11,10 +11,10 @@ grid of the same shape replayed from a warm store, one op per replay
 pass) and ``fuzz`` (differential fuzzing, one op per generated program).
 
 ``--trace 0`` measures the end-to-end metrics with nothing installed in
-the program: the op list runs in rounds (at least two, until
-``--seconds`` have passed) and each op's time is its fastest run,
-scaled to a reference machine speed (see ``measure``).  ``--trace 1``
-runs one round three times --
+the program: the op list runs in rounds (at least two, and more while
+one more is expected to end within ``--seconds``) and each op's time is
+its fastest run, scaled to a reference machine speed (see ``measure``).
+``--trace 1`` runs one round three times --
 plain, under layer spans, and under spans plus cProfile -- and reports
 the per-layer metrics.  Either way every op is checked against the
 goldens in ``goldens.json`` and the program's own invariants; the last
@@ -40,20 +40,37 @@ WORKLOADS = ("grid-cold", "grid-warm", "fuzz")
 #: both under the directory the benchmark runs from.
 WORK_DIR = ".perfbench_work"
 OUT_DIR = ".perfbench_out"
-#: Fresh-interpreter imports and set-ups per run; ``setup_s`` is the
-#: median of the first plus the median of the second.
-IMPORT_REPEATS = 5
-SETUP_REPEATS = 3
+#: Re-imports of the program's own modules per set-up sample; see
+#: ``SetUp``.
+IMPORT_REPEATS = 6
 #: Rounds an untraced run makes at least; an op's time is its fastest.
 MIN_ROUNDS = 2
 #: Machine-speed calibration: a fixed slice of pure-Python work runs
 #: after every op.  Each op time is scaled by REFERENCE_S over the
 #: fastest reference run among its neighbours (CALIBRATION_WINDOW ops
 #: either side), i.e. to the speed of the 2-core box the bounds were set
-#: on, where one reference run took 0.16 ms at best.
+#: on, where one reference run took 0.16 ms at best.  Imports and
+#: set-ups are followed by CALIBRATION_SAMPLES reference runs each.
 REFERENCE_S = 0.16e-3
 CALIBRATION_WINDOW = 8
-CALIBRATION_SAMPLES = 50
+CALIBRATION_SAMPLES = 30
+#: Re-imports the program's own modules (``repro.*``) in a child
+#: interpreter whose first import has already loaded their third-party
+#: and standard-library dependencies; prints each re-import's time and
+#: the fastest reference run after it.
+REIMPORT = """
+import json, sys, time
+from run import CALIBRATION_SAMPLES, reference_seconds
+times, refs = [], []
+for _ in range(int(sys.argv[1]) + 1):
+    for name in [n for n in sys.modules if n.split(".")[0] == "repro"]:
+        del sys.modules[name]
+    start = time.perf_counter()
+    import repro.api.sweep, repro.fuzz.harness, repro.analysis.report
+    times.append(time.perf_counter() - start)
+    refs.append(min(reference_seconds() for _ in range(CALIBRATION_SAMPLES)))
+print(json.dumps([times[1:], refs[1:]]))
+"""
 #: The tail percentile per workload: the highest of p85/p90/p95 with at
 #: least ten ops beyond it (grid-cold has 72 ops, grid-warm 100, fuzz 200).
 TAIL_PERCENTILE = {"grid-cold": 85.0, "grid-warm": 90.0, "fuzz": 95.0}
@@ -165,13 +182,11 @@ class GridCold(Workload):
 
     def setup(self) -> None:
         from specs import grid_campaign
-        from repro.api.store import ResultStore
 
         self.campaign = grid_campaign(self.seed)
         self.points = self.campaign.points()
         self.hashes = [p.experiment.spec_hash() for p in self.points]
         self.size = len(self.points)
-        ResultStore(self.fresh_dir("store-"))
 
     def reset(self) -> None:
         super().reset()
@@ -358,13 +373,11 @@ def reference_seconds() -> float:
     return time.perf_counter() - start
 
 
-def calibrated(fn, *args, **kwargs) -> float:
-    """Seconds ``fn(*args, **kwargs)`` takes, at the reference speed."""
-    start = time.perf_counter()
-    fn(*args, **kwargs)
-    seconds = time.perf_counter() - start
-    floor = min(reference_seconds() for _ in range(CALIBRATION_SAMPLES))
-    return seconds * REFERENCE_S / floor
+def at_reference_speed(times, refs, window: int):
+    """Each of ``times`` scaled by REFERENCE_S over the fastest of the
+    reference runs ``refs[i]`` within ``window`` places of it."""
+    return [t * REFERENCE_S / min(refs[max(0, i - window):i + window + 1])
+            for i, t in enumerate(times)]
 
 
 class Phase:
@@ -380,6 +393,7 @@ class Phase:
         self.failed = 0
         self.events = 0
         self.ok = True
+        self.wall = 0.0
 
     @property
     def seconds(self) -> float:
@@ -387,9 +401,12 @@ class Phase:
 
 
 def measure(wl: Workload, seconds: float = 0.0, min_rounds: int = 1,
-            rounds=None, limit=None, spans=None) -> Phase:
-    """Run the op list in rounds until ``seconds`` have gone by and
-    ``min_rounds`` rounds ran -- or exactly ``rounds`` rounds, if given.
+            rounds=None, limit=None, spans=None,
+            between_rounds=None) -> Phase:
+    """Run the op list in rounds: ``min_rounds`` rounds, then more while
+    one more is expected to end within ``seconds`` of the start -- or
+    exactly ``rounds`` rounds, if given.  ``between_rounds()`` is called
+    after each round, untimed but inside ``seconds``.
 
     An op's time is the fastest of its runs, each scaled to the
     reference speed by the calibration runs around it: interference
@@ -404,9 +421,17 @@ def measure(wl: Workload, seconds: float = 0.0, min_rounds: int = 1,
     best = [math.inf] * size
     best_raw = [math.inf] * size
     wl.reset()
-    deadline = clock() + seconds
-    while (phase.rounds < rounds if rounds is not None
-           else phase.rounds < min_rounds or clock() < deadline):
+    began = clock()
+
+    def another_round() -> bool:
+        if rounds is not None:
+            return phase.rounds < rounds
+        if phase.rounds < min_rounds:
+            return True
+        elapsed = clock() - began
+        return elapsed * (phase.rounds + 1) / phase.rounds <= seconds
+
+    while another_round():
         wl.begin_round()
         times, refs = [], []
         for index in range(size):
@@ -422,13 +447,14 @@ def measure(wl: Workload, seconds: float = 0.0, min_rounds: int = 1,
             phase.failed += not ok
             if not phase.rounds:
                 phase.events += events
-        for index, raw in enumerate(times):
-            near = refs[max(0, index - CALIBRATION_WINDOW):
-                        index + CALIBRATION_WINDOW + 1]
-            best[index] = min(best[index], raw * REFERENCE_S / min(near))
-            best_raw[index] = min(best_raw[index], raw)
+        scaled = at_reference_speed(times, refs, CALIBRATION_WINDOW)
+        best = [min(pair) for pair in zip(best, scaled)]
+        best_raw = [min(pair) for pair in zip(best_raw, times)]
         phase.rounds += 1
+        if between_rounds is not None:
+            between_rounds()
     phase.times, phase.raw_times = best, best_raw
+    phase.wall = clock() - began
     phase.events = wl.simulated_events(phase.events)
     phase.ok = wl.finish()
     return phase
@@ -496,8 +522,10 @@ def simulated_metrics(results, stalls: bool = False):
     return total
 
 
-def run_untraced(name: str, wl: Workload, seconds: int, setup_s: float):
-    phase = measure(wl, seconds=seconds, min_rounds=MIN_ROUNDS)
+def run_untraced(name: str, wl: Workload, seconds: int, setup: "SetUp"):
+    phase = measure(wl, seconds=seconds, min_rounds=MIN_ROUNDS,
+                    between_rounds=setup.sample)
+    setup_s = setup.seconds
     times_ms = [t * 1e3 for t in phase.times]
     q = TAIL_PERCENTILE[name]
     metrics = {
@@ -509,7 +537,8 @@ def run_untraced(name: str, wl: Workload, seconds: int, setup_s: float):
         "peak_rss_mb":
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    print(f"{name}: {phase.rounds} rounds of {len(times_ms)} ops; an op's "
+    print(f"{name}: {phase.rounds} rounds of {len(times_ms)} ops in "
+          f"{phase.wall:.1f} s; an op's "
           f"time is its fastest run at the reference speed; op_ms_tail is "
           f"p{q:g} over {len(times_ms)} ops; error_rate "
           f"{phase.failed / phase.attempted:.4f} (ratio, "
@@ -518,6 +547,9 @@ def run_untraced(name: str, wl: Workload, seconds: int, setup_s: float):
     print(f"as measured, unscaled: {len(raw_ms) / sum(phase.raw_times):.4g} "
           f"ops/s, p50 {statistics.median(raw_ms):.4g} ms, "
           f"p{q:g} {percentile(raw_ms, q):.4g} ms")
+    print(f"setup {setup_s:.4f} s: fastest import of the program "
+          f"{min(setup.imports):.4f} s + fastest set-up "
+          f"{min(setup.setups):.4f} s, of {len(setup.setups)} samples")
     print("simulated digest " + simulated_digest(wl.results()))
     return metrics, END_TO_END, phase
 
@@ -597,15 +629,41 @@ def run_traced(name: str, wl: Workload, out_dir: str):
 # ---------------------------------------------------------------------- #
 
 
-def import_seconds(src: str) -> float:
-    """Median time of a fresh interpreter importing the program, at the
-    reference speed."""
-    code = "import repro.api.sweep, repro.fuzz.harness, repro.analysis.report"
-    env = dict(os.environ, PYTHONPATH=src)
-    command = [sys.executable, "-c", code]
-    return statistics.median(
-        calibrated(subprocess.run, command, env=env, check=True)
-        for _ in range(IMPORT_REPEATS))
+class SetUp:
+    """Set-up time, sampled before the first round and after each round.
+
+    A sample is one child interpreter re-importing the program's own
+    modules IMPORT_REPEATS times, then one set-up of the workload; both
+    at the reference speed.  ``seconds`` is the fastest import plus the
+    fastest set-up, by the rule the ops follow.  Samples spread over the
+    run, because a slow spell of the host outlasts a few seconds of
+    back-to-back repeats.  Interpreter start-up and the import of numpy
+    and the standard library are left out: fresh interpreters swing by a
+    third between runs a minute apart, which the reference speed does
+    not follow.
+    """
+
+    def __init__(self, wl: Workload, src: str) -> None:
+        self.wl = wl
+        self.env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, HERE)))
+        self.imports = []
+        self.setups = []
+
+    def sample(self) -> None:
+        done = subprocess.run(
+            [sys.executable, "-c", REIMPORT, str(IMPORT_REPEATS)],
+            env=self.env, check=True, capture_output=True, text=True)
+        times, refs = json.loads(done.stdout)
+        self.imports.append(min(at_reference_speed(times, refs, 2)))
+        start = time.perf_counter()
+        self.wl.setup()
+        seconds = time.perf_counter() - start
+        floor = min(reference_seconds() for _ in range(CALIBRATION_SAMPLES))
+        self.setups.append(seconds * REFERENCE_S / floor)
+
+    @property
+    def seconds(self) -> float:
+        return min(self.imports) + min(self.setups)
 
 
 def bootstrap(root: str) -> bool:
@@ -624,7 +682,7 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=None,
                         help="workload seed (default: specs.DEFAULT_SEED)")
-    parser.add_argument("--seconds", type=int, default=15)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
 
@@ -638,24 +696,21 @@ def main(argv=None) -> int:
         return 2
     import specs
 
-    import_s = import_seconds(os.path.join(root, "src"))
     seed = specs.DEFAULT_SEED if args.seed is None else args.seed
     goldens = specs.load_goldens()
     os.makedirs(os.path.join(root, WORK_DIR), exist_ok=True)
     work = tempfile.mkdtemp(dir=os.path.join(root, WORK_DIR))
     try:
         wl = WORKLOAD_CLASSES[args.workload](seed, work, goldens)
-        setups = [calibrated(wl.setup) for _ in range(SETUP_REPEATS)]
-        setup_s = import_s + statistics.median(setups)
-        print(f"{args.workload} seed {seed}: setup {setup_s:.3f} s "
-              f"(median fresh-interpreter import {import_s:.3f} s + median "
-              f"set-up {statistics.median(setups):.3f} s)")
+        setup = SetUp(wl, os.path.join(root, "src"))
+        setup.sample()
+        print(f"{args.workload} seed {seed}")
         if args.trace:
             metrics, units, phase = run_traced(
                 args.workload, wl, os.path.join(root, OUT_DIR))
         else:
             metrics, units, phase = run_untraced(
-                args.workload, wl, args.seconds, setup_s)
+                args.workload, wl, args.seconds, setup)
     finally:
         shutil.rmtree(work, ignore_errors=True)
         try:

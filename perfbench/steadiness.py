@@ -11,7 +11,7 @@ Runs interleave the workloads (seed 1 of every workload, then seed 2,
 the median, the quartiles (``statistics.quantiles(n=4)``), min/max and
 the spread -- the distance between the quartiles as a share of the
 median -- next to the metric's bound from ``BENCHMARK.json``.  A spread
-above its bound (``setup_s`` excepted) or a failed check exits 1.
+above its bound or a failed check exits 1.
 ``--json PATH`` also writes every run's metrics, so two reports of the
 same code can be compared median to median.
 """
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
             median, q1, q3, rel = spread(values)
             bound = bounds.get(name)
             flag = ""
-            if bound is not None and name != "setup_s":
+            if bound is not None:
                 flag = "ok" if rel <= bound / 3 else \
                     "WIDE" if rel <= bound else "OVER"
                 ok = ok and rel <= bound
