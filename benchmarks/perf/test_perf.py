@@ -26,6 +26,18 @@ BENCH_PATH = os.path.join(_REPO_ROOT, "BENCH_kernel.json")
 #: The scaled-up pinned points (tracked since the timing-wheel PR).
 SCALED_CONFIGS = ("ycsb-c-8core", "tpch-q6-sf2")
 
+#: The seed-sized pinned points outside the quick smoke.
+SEED_SIZED_CONFIGS = ("tpch-q6", "ycsb-mix")
+
+#: Configs whose seed-baseline entry simulates a different program than
+#: the current pin, each with the reason.
+BASELINE_EXCEPTIONS = {
+    "ycsb-mix": "the seed baseline simulated the pre-fix program: the "
+                "LLC flush-race fix (the flush point waits for in-flight "
+                "same-scope fills) changed what this scope-relaxed "
+                "config simulates",
+}
+
 
 @pytest.fixture(scope="module")
 def quick_record():
@@ -39,6 +51,13 @@ def scaled_record():
     """One shared measurement of the scaled configs (8 cores / 2x TPC-H
     scale) -- the digest pins results at sizes the quick smoke misses."""
     return perf.run_suite(SCALED_CONFIGS, repeats=2)
+
+
+@pytest.fixture(scope="module")
+def seed_sized_record():
+    """One shared measurement of the seed-sized configs the quick smoke
+    skips (TPC-H Q6 and the default YCSB mix)."""
+    return perf.run_suite(SEED_SIZED_CONFIGS, repeats=2)
 
 
 @pytest.fixture(scope="module")
@@ -68,36 +87,52 @@ def test_quick_configs_measure_sane_throughput(quick_record):
         assert cur["events_per_sec"] > 0, name
 
 
-def test_results_match_checked_in_digests(quick_record, bench_file):
-    """The simulation results of the pinned configs are pinned too:
-    a kernel change that alters any statistic, run time or event count
-    shows up as a digest mismatch (machine independent)."""
-    for name, cur in quick_record["configs"].items():
+def _assert_matches_pins(record, bench_file):
+    for name, cur in record["configs"].items():
         base = bench_file["configs"][name]
         assert cur["stats_sha256"] == base["stats_sha256"], (
             f"{name}: simulation results diverged from BENCH_kernel.json"
         )
         assert cur["events"] == base["events"], name
         assert cur["run_time"] == base["run_time"], name
+
+
+def test_results_match_checked_in_digests(quick_record, bench_file):
+    """The simulation results of the pinned configs are pinned too:
+    a kernel change that alters any statistic, run time or event count
+    shows up as a digest mismatch (machine independent)."""
+    _assert_matches_pins(quick_record, bench_file)
 
 
 def test_scaled_configs_match_checked_in_digests(scaled_record, bench_file):
     """The scaled-up pinned points (8-core YCSB-C, 2x-scale TPC-H Q6)
     are digest-pinned like the seed-sized ones."""
-    for name, cur in scaled_record["configs"].items():
-        base = bench_file["configs"][name]
-        assert cur["stats_sha256"] == base["stats_sha256"], (
-            f"{name}: simulation results diverged from BENCH_kernel.json"
-        )
-        assert cur["events"] == base["events"], name
-        assert cur["run_time"] == base["run_time"], name
+    _assert_matches_pins(scaled_record, bench_file)
+
+
+def test_seed_sized_configs_match_checked_in_digests(seed_sized_record,
+                                                     bench_file):
+    """TPC-H Q6 and the default YCSB mix are digest-pinned too."""
+    _assert_matches_pins(seed_sized_record, bench_file)
+
+
+def test_every_pinned_config_is_digest_checked(bench_file):
+    """No pin in BENCH_kernel.json goes unchecked by this file."""
+    checked = {*perf.QUICK_CONFIGS, *SCALED_CONFIGS, *SEED_SIZED_CONFIGS,
+               "ycsb-c-mshr8", "ycsb-c-openloop"}
+    assert checked == set(bench_file["configs"]) == set(perf.PERF_CONFIGS)
 
 
 def test_optimized_kernel_reproduces_baseline_results(bench_file):
     """BENCH_kernel.json records the seed (heap-only) kernel's digests;
-    they must equal the current kernel's (byte-identical results)."""
+    they must equal the current kernel's (byte-identical results),
+    except for the named configs whose program changed since."""
     for name, base in bench_file["baseline"]["configs"].items():
         cur = bench_file["configs"][name]
+        if name in BASELINE_EXCEPTIONS:
+            # The exception holds only while the programs differ.
+            assert cur["stats_sha256"] != base["stats_sha256"], name
+            continue
         assert cur["stats_sha256"] == base["stats_sha256"], name
         assert cur["events"] == base["events"], name
         assert cur["run_time"] == base["run_time"], name

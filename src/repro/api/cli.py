@@ -63,10 +63,10 @@ The subcommands (``--log-level LEVEL`` before any of them, or
     repro-bench trace export DUMP.json [--output FILE] [--validate]
         Observability (:mod:`repro.obs`): ``run`` executes one
         experiment with the event ring enabled and writes a trace dump
-        (spec + obs payload: per-event records, stall attribution,
-        kernel dispatch-tier mix); ``report`` summarizes a dump as
-        text tables; ``export`` converts a dump to Chrome trace-event
-        JSON loadable in Perfetto / ``chrome://tracing``
+        (spec + obs payload: per-event records and stall attribution);
+        ``report`` summarizes a dump as text tables (ring retention,
+        stalls per component); ``export`` converts a dump to Chrome
+        trace-event JSON loadable in Perfetto / ``chrome://tracing``
         (``--validate`` schema-checks the result, as CI does).  See
         ``docs/observability.md``.
 
@@ -988,17 +988,6 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
           f"{result.get('events', '?')} events, "
           f"{result.get('stale_reads', '?')} stale reads")
 
-    kernel = obs.get("kernel")
-    if kernel:
-        total = max(1, kernel.get("ring_events", 0)
-                    + kernel.get("wheel_events", 0)
-                    + kernel.get("heap_events", 0))
-        rows = [[tier, kernel.get(f"{tier}_events", 0),
-                 f"{100.0 * kernel.get(f'{tier}_events', 0) / total:.1f}%"]
-                for tier in ("ring", "wheel", "heap")]
-        print(format_table(["tier", "events", "share"], rows,
-                           title=f"kernel dispatch mix "
-                                 f"({kernel.get('cycles', '?')} cycles)"))
     if "events_recorded" in obs:
         print(f"ring: {len(obs.get('events', []))} records kept of "
               f"{obs['events_recorded']} recorded "

@@ -398,9 +398,14 @@ def update_tracked_file(path: str, record: dict) -> dict:
     base_configs = out.get("baseline", {}).get("configs", {})
     for name, cur in merged.items():
         base = base_configs.get(name)
-        if base and base.get("events_per_sec"):
+        # A speedup only compares runs of the same simulation: a config
+        # whose digest moved since the baseline gets no ratio.
+        if (base and base.get("events_per_sec")
+                and base.get("stats_sha256") == cur["stats_sha256"]):
             cur["speedup_vs_baseline"] = round(
                 cur["events_per_sec"] / base["events_per_sec"], 2)
+        else:
+            cur.pop("speedup_vs_baseline", None)
     write_record(path, out)
     return out
 

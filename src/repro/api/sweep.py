@@ -734,9 +734,9 @@ def run_campaign(
 
     ``trace`` (a :class:`~repro.sim.config.TraceConfig`) overlays
     observability on execution: results gain an ``obs`` payload (stall
-    attribution, kernel tier counts) while the specs, their hashes and
-    the campaign digest stay untouched -- :meth:`CampaignResult.digest`
-    hashes only the simulation outcome.  ``progress`` is called with
+    attribution) while the specs, their hashes and the campaign digest
+    stay untouched -- :meth:`CampaignResult.digest` hashes only the
+    simulation outcome.  ``progress`` is called with
     point counts as they settle (``sweep run``'s progress line).
     """
     if runner is None:

@@ -27,7 +27,7 @@ from repro.host.entry_point import EntryPoint
 from repro.host.policies import IssuePolicy
 from repro.host.program import ThreadOp, ThreadOpKind, ThreadProgram
 from repro.sim.component import Component
-from repro.sim.kernel import Simulator, WHEEL_MASK, WHEEL_SLOTS
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.sim.stats import StatGroup
 
@@ -166,22 +166,7 @@ class Core(Component):
     def _schedule_step(self, delay: int = 0) -> None:
         if not self._step_scheduled and not self._exhausted:
             self._step_scheduled = True
-            sim = self.sim
-            if delay:
-                if 0 < delay < WHEEL_SLOTS:
-                    # Inlined Simulator.schedule (wheel tier): the issue
-                    # interval lands here once per committed op.
-                    sim._seq = seq = sim._seq + 1
-                    sim._wheel[(sim.now + delay) & WHEEL_MASK].append(
-                        (seq, self._step_bound, ()))
-                    sim._wheel_count += 1
-                else:
-                    sim.schedule(delay, self._step_bound)
-            else:
-                # Inlined Simulator.call_at_now: wake-ups outnumber every
-                # other event source on the core.
-                sim._seq = seq = sim._seq + 1
-                sim._ring.append((seq, self._step_bound, ()))
+            self.sim.schedule(delay, self._step_bound)
 
     def _step(self) -> None:
         self._step_scheduled = False
@@ -463,13 +448,7 @@ class Core(Component):
                     trace.flight_trigger("stale_read", self.sim.now,
                                          self.name, resp.req.op_id)
                 if self.stale_cb is not None:
-                    # The callback may retain the response (tracing,
-                    # assertions); hand it over instead of recycling.
                     self.stale_cb(self, resp)
-                    self._schedule_step(0)
-                    if self._exhausted and not self._done_notified:
-                        self._maybe_finish()
-                    return
         elif mtype is _MT_STORE_ACK:
             self.outstanding_stores -= 1
             if resp.scope is not None:
@@ -484,16 +463,10 @@ class Core(Component):
             self._waiting_pim_ack = False
         else:  # pragma: no cover - defensive
             raise ValueError(f"core got {mtype}")
-        # The response is finished: recycle it through the message
-        # pool.  (The request may be observed by tracers/tests, so only
-        # the transient response is pooled.)
-        resp.release()
         # Inlined _schedule_step(0): one wake-up per response delivered.
         if not self._step_scheduled and not self._exhausted:
             self._step_scheduled = True
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._ring.append((seq, self._step_bound, ()))
+            self.sim.call_at_now(self._step_bound)
         elif self._exhausted and not self._done_notified:
             self._maybe_finish()
 
@@ -501,9 +474,7 @@ class Core(Component):
         # Inlined _schedule_step(0): one wake-up per entry-point forward.
         if not self._step_scheduled and not self._exhausted:
             self._step_scheduled = True
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._ring.append((seq, self._step_bound, ()))
+            self.sim.call_at_now(self._step_bound)
         elif self._exhausted and not self._done_notified:
             self._maybe_finish()
 

@@ -30,7 +30,7 @@ from typing import Dict, Optional, Set
 from repro.core.models import ConsistencyModel
 from repro.host.policies import IssuePolicy
 from repro.sim.component import Component
-from repro.sim.kernel import Simulator, WHEEL_MASK
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.sim.stats import StatGroup
 
@@ -120,13 +120,7 @@ class EntryPoint(Component):
         queue.append(msg)
         if not self._serving:
             self._serving = True
-            # Inlined Simulator.schedule (wheel tier, delay 1): the entry
-            # point forwards at most one message per cycle.
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + 1) & WHEEL_MASK].append(
-                (seq, self._serve_bound, ()))
-            sim._wheel_count += 1
+            self.sim.schedule(1, self._serve_bound)
         return True
 
     # ------------------------------------------------------------------ #
@@ -134,14 +128,11 @@ class EntryPoint(Component):
     # ------------------------------------------------------------------ #
 
     def _schedule_serve(self) -> None:
+        # The entry point forwards at most one message per cycle (offer
+        # and the head fast path of _serve repeat this body inline).
         if not self._serving:
             self._serving = True
-            # Inlined Simulator.schedule (wheel tier, delay 1).
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + 1) & WHEEL_MASK].append(
-                (seq, self._serve_bound, ()))
-            sim._wheel_count += 1
+            self.sim.schedule(1, self._serve_bound)
 
     def _serve(self) -> None:
         self._serving = False
@@ -195,12 +186,7 @@ class EntryPoint(Component):
                     self._core.on_entry_point_progress()
                 if queue and not self._serving:
                     self._serving = True
-                    # Inlined Simulator.schedule (wheel tier, delay 1).
-                    sim = self.sim
-                    sim._seq = seq = sim._seq + 1
-                    sim._wheel[(sim.now + 1) & WHEEL_MASK].append(
-                        (seq, self._serve_bound, ()))
-                    sim._wheel_count += 1
+                    self.sim.schedule(1, self._serve_bound)
             return
         store_lines = None  # lines of earlier stores/flushes (lazy)
         pim_scopes = None  # scopes of earlier queued PIM ops (lazy)
@@ -334,8 +320,6 @@ class EntryPoint(Component):
                     del self.pending_pim_scopes[resp.scope]
                 else:
                     self.pending_pim_scopes[resp.scope] = count
-            # The ACKed PIM op itself is still in flight toward the
-            # module; only the ACK is recyclable (released below).
         elif resp.mtype is MessageType.SCOPE_FENCE_ACK:
             self.pending_scope_fences -= 1
             self.fenced_scopes.discard(resp.scope)
@@ -344,4 +328,3 @@ class EntryPoint(Component):
         self._schedule_serve()
         if self._core is not None:
             self._core.on_subsystem_ack(resp)
-        resp.release()

@@ -25,7 +25,7 @@ from repro.memory.scope_buffer import ScopeBuffer
 from repro.memory.sbv import ScopeBitVector
 from repro.sim.component import Component, QueuedComponent
 from repro.sim.config import CacheConfig, ScopeBufferConfig
-from repro.sim.kernel import Simulator, WHEEL_MASK, WHEEL_SLOTS
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.sim.stats import StatGroup
 
@@ -98,7 +98,6 @@ class L1Cache(QueuedComponent):
         self._refetch_queue: deque = deque()
         # Multi-phase state for the head-of-queue scope fence.
         self._head_scanned = False
-        self._hit_on_wheel = 0 < config.hit_latency < WHEEL_SLOTS
         # Pre-bound callable for the miss/forward hot path.
         self._req_offer = req_net.offer
         #: Stall-attribution bucket (Tracer-owned dict) when tracing.
@@ -116,9 +115,8 @@ class L1Cache(QueuedComponent):
     def handle(self, msg: Message) -> Union[bool, int]:
         mtype = msg.mtype
         # Loads and stores are the simulator's hottest messages: their
-        # hit paths are flattened here (lookup + pooled response +
-        # inlined wheel-tier Simulator.schedule) rather than dispatched
-        # through the per-type helpers.
+        # hit paths are flattened here rather than dispatched through
+        # the per-type helpers.
         if mtype is _LOAD:
             line = self.array.lookup(msg.addr)
             if line is None:
@@ -127,15 +125,8 @@ class L1Cache(QueuedComponent):
             if self._mshrs:
                 self.mshr_file.hit_under_miss += 1
             resp = msg.make_response(_LOAD_RESP, line.version)
-            if self._hit_on_wheel:
-                sim = self.sim
-                sim._seq = seq = sim._seq + 1
-                sim._wheel[(sim.now + self._hit_latency) & WHEEL_MASK].append(
-                    (seq, resp.reply_to.receive_response, (resp,)))
-                sim._wheel_count += 1
-            else:
-                self.sim.schedule(self._hit_latency,
-                                  resp.reply_to.receive_response, resp)
+            self.sim.schedule(self._hit_latency,
+                              resp.reply_to.receive_response, resp)
             return True
         if mtype is _STORE:
             line = self.array.lookup(msg.addr)
@@ -146,16 +137,8 @@ class L1Cache(QueuedComponent):
                 line.state = MesiState.MODIFIED
                 line.version += 1
                 resp = msg.make_response(_STORE_ACK, line.version)
-                if self._hit_on_wheel:
-                    sim = self.sim
-                    sim._seq = seq = sim._seq + 1
-                    sim._wheel[
-                        (sim.now + self._hit_latency) & WHEEL_MASK
-                    ].append((seq, resp.reply_to.receive_response, (resp,)))
-                    sim._wheel_count += 1
-                else:
-                    self.sim.schedule(self._hit_latency,
-                                      resp.reply_to.receive_response, resp)
+                self.sim.schedule(self._hit_latency,
+                                  resp.reply_to.receive_response, resp)
                 return True
             # Shared hit (upgrade) or miss: fetch exclusive ownership.
             return self._miss(msg, True)
@@ -254,7 +237,7 @@ class L1Cache(QueuedComponent):
         return latency, wbs
 
     def _writeback_msg(self, line) -> Message:
-        return Message.acquire(
+        return Message(
             MessageType.WRITEBACK,
             addr=line.addr,
             scope=line.scope,
@@ -292,16 +275,11 @@ class L1Cache(QueuedComponent):
         line_addr = resp.addr
         mshr = self.mshr_file.complete(line_addr)
         if mshr is None:
-            # Fill for a line whose waiters were already satisfied.
-            resp.release()
-            return
+            return  # fill for a line whose waiters were already satisfied
         req = resp.req
         exclusive = req.exclusive if req is not None else mshr.exclusive
         scope = resp.scope
         self._install(line_addr, scope, resp.version, exclusive)
-        # The response is consumed; recycle it before answering the
-        # waiters (which draws from the same pool).
-        resp.release()
         retry: List[Message] = []
         line = self.array.lookup(line_addr, touch=False)
         for waiter in mshr.waiters:
@@ -379,15 +357,6 @@ class L1Cache(QueuedComponent):
     # ------------------------------------------------------------------ #
 
     def _respond(self, req: Message, mtype: MessageType, version: int) -> None:
-        resp = req.make_response(mtype, version=version)
-        if self._hit_on_wheel:
-            # Inlined Simulator.schedule (wheel tier).
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + self._hit_latency) & WHEEL_MASK].append(
-                (seq, resp.reply_to.receive_response, (resp,)))
-            sim._wheel_count += 1
-        else:
-            self.sim.schedule(
-                self._hit_latency, resp.reply_to.receive_response, resp
-            )
+        resp = req.make_response(mtype, version)
+        self.sim.schedule(self._hit_latency, resp.reply_to.receive_response,
+                          resp)

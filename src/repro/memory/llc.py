@@ -28,7 +28,7 @@ from repro.memory.scope_buffer import ScopeBuffer
 from repro.memory.sbv import ScopeBitVector
 from repro.sim.component import Component, QueuedComponent
 from repro.sim.config import CacheConfig, ScopeBufferConfig
-from repro.sim.kernel import Simulator, WHEEL_MASK, WHEEL_SLOTS
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.sim.stats import StatGroup
 
@@ -70,7 +70,6 @@ class LastLevelCache(QueuedComponent):
         self._scan_latency = self.stats.mean("scan_latency")
         self._flushed_lines = self.stats.counter("flushed_lines")
         self._hit_latency = config.hit_latency
-        self._hit_on_wheel = 0 < config.hit_latency < WHEEL_SLOTS
         # Pre-bound callables for the per-request hot path.
         self._resp_offer = resp_net.offer
         self._mem_offer = mem_link.offer
@@ -136,16 +135,7 @@ class LastLevelCache(QueuedComponent):
                             line.state = MesiState.MODIFIED
                 sharers.add(msg.core)
             resp = msg.make_response(_LOAD_RESP, line.version)
-            if self._hit_on_wheel:
-                # Inlined Simulator.schedule (wheel tier).
-                sim = self.sim
-                sim._seq = seq = sim._seq + 1
-                sim._wheel[(sim.now + self._hit_latency) & WHEEL_MASK].append(
-                    (seq, self._resp_offer, (resp, None)))
-                sim._wheel_count += 1
-            else:
-                self.sim.schedule(self._hit_latency, self._resp_offer,
-                                  resp, None)
+            self.sim.schedule(self._hit_latency, self._resp_offer, resp, None)
             return True
         if mtype is MessageType.STORE:
             # Cached stores never reach the LLC as STOREs (they become
@@ -194,13 +184,8 @@ class LastLevelCache(QueuedComponent):
         line_addr = resp.addr
         mshr = self.mshr_file.complete(line_addr)
         if mshr is None:
-            resp.release()
             return
-        scope = resp.scope
-        line = self._install(line_addr, scope, resp.version)
-        # The response is consumed; recycle it before answering the
-        # waiters (which draws from the same pool).
-        resp.release()
+        line = self._install(line_addr, resp.scope, resp.version)
         sharers = self._dir.setdefault(line_addr, set())
         for waiter in mshr.waiters:
             if waiter.mtype is _LOAD and not waiter.exclusive:
@@ -269,8 +254,7 @@ class LastLevelCache(QueuedComponent):
             sharers = self._dir.get(line.addr)
             if sharers is not None:
                 sharers.discard(msg.core)
-            msg.release()  # absorbed: writebacks get no response
-            return True
+            return True  # absorbed: writebacks get no response
         # Inclusive-violation race (we already evicted): pass to memory.
         return self._forward_mem(msg)
 
@@ -290,9 +274,8 @@ class LastLevelCache(QueuedComponent):
                 version = line_version
             dirty = dirty or line_dirty
         if dirty:
-            wb = Message.acquire(MessageType.WRITEBACK, addr=msg.addr,
-                                 scope=msg.scope, core=msg.core,
-                                 version=version)
+            wb = Message(MessageType.WRITEBACK, addr=msg.addr,
+                         scope=msg.scope, core=msg.core, version=version)
             if not self._mem_offer(wb, self):
                 return False
         self._respond(msg, MessageType.FLUSH_ACK, version)
@@ -385,8 +368,8 @@ class LastLevelCache(QueuedComponent):
 
     def _queue_writeback(self, addr: int, scope: Optional[int], version: int) -> None:
         self._pending_wbs.append(
-            Message.acquire(MessageType.WRITEBACK, addr=addr, scope=scope,
-                            version=version)
+            Message(MessageType.WRITEBACK, addr=addr, scope=scope,
+                    version=version)
         )
         self._drain_writebacks()
 
@@ -405,14 +388,5 @@ class LastLevelCache(QueuedComponent):
         return self._mem_offer(msg, self)
 
     def _respond(self, req: Message, mtype: MessageType, version: int) -> None:
-        resp = req.make_response(mtype, version=version)
-        if self._hit_on_wheel:
-            # Inlined Simulator.schedule (wheel tier).
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + self._hit_latency) & WHEEL_MASK].append(
-                (seq, self._resp_offer, (resp, None)))
-            sim._wheel_count += 1
-        else:
-            self.sim.schedule(self._hit_latency, self._resp_offer,
-                              resp, None)
+        resp = req.make_response(mtype, version)
+        self.sim.schedule(self._hit_latency, self._resp_offer, resp, None)

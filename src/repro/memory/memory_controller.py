@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from repro.memory.versioned import VersionedMemory
 from repro.sim.component import Component
 from repro.sim.config import MemoryConfig
-from repro.sim.kernel import Simulator, WHEEL_MASK, WHEEL_SLOTS
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.sim.stats import StatGroup
 
@@ -65,11 +65,9 @@ class MemoryController(Component):
         self.stats.register_flush(self._flush_stats)
         self._queue_len = self.stats.mean("queue_length_at_arrival",
                                           extremes=False)
-        # DRAM timing, predigested for the inlined wheel-tier schedules.
+        # DRAM timing, read once per served message.
         self._dram_interval = config.dram_service_interval
         self._dram_latency = config.dram_latency
-        self._interval_on_wheel = 0 < self._dram_interval < WHEEL_SLOTS
-        self._latency_on_wheel = 0 < self._dram_latency < WHEEL_SLOTS
         # Burst batching (off at the default length of 1: the hot path
         # below stays bit-for-bit the one-access-per-interval stage).
         burst_len = config.dram_burst_len
@@ -124,9 +122,7 @@ class MemoryController(Component):
             if msg.reply_to is not None:
                 ack = msg.make_response(MessageType.PIM_ACK)
                 self._resp_offer(ack, None)
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        sim._ring.append((seq, self._serve_bound, ()))
+        self.sim.call_at_now(self._serve_bound)
         return True
 
     # ------------------------------------------------------------------ #
@@ -162,23 +158,13 @@ class MemoryController(Component):
             queue.pop(index)
             self._served += 1
             if trace is not None:
-                # Record before service: a terminal writeback is
-                # released back to the pool inside _service_dram.
                 trace.record(self.sim.now, self.name, msg.mtype.name,
                              msg.op_id)
             batch = self._collect_burst(msg) if self._burst_enabled else None
             if self._waiting_senders:
                 self._wake_senders()
             self._busy = True
-            if self._interval_on_wheel:
-                # Inlined Simulator.schedule (wheel tier).
-                sim = self.sim
-                sim._seq = seq = sim._seq + 1
-                sim._wheel[(sim.now + self._dram_interval) & WHEEL_MASK].append(
-                    (seq, self._service_done_bound, ()))
-                sim._wheel_count += 1
-            else:
-                self.sim.schedule(self._dram_interval, self._service_done_bound)
+            self.sim.schedule(self._dram_interval, self._service_done_bound)
             self._service_dram(msg)
             if batch:
                 for fused in batch:
@@ -227,8 +213,7 @@ class MemoryController(Component):
         mtype = msg.mtype
         if mtype is _WRITEBACK:
             self.memory.write(msg.addr, msg.version)
-            msg.release()  # terminal: writebacks get no response
-            return
+            return  # terminal: writebacks get no response
         if mtype is _LOAD:
             version = self.memory.read(msg.addr)
             resp = msg.make_response(MessageType.LOAD_RESP, version=version)
@@ -239,17 +224,7 @@ class MemoryController(Component):
             resp = msg.make_response(MessageType.FLUSH_ACK)
         else:  # pragma: no cover - defensive
             raise ValueError(f"MC cannot service {mtype}")
-        if self._latency_on_wheel:
-            # Inlined Simulator.schedule (wheel tier): the DRAM access
-            # latency is the hottest heap delay the seed kernel had.
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + self._dram_latency) & WHEEL_MASK].append(
-                (seq, self._resp_offer, (resp, None)))
-            sim._wheel_count += 1
-        else:
-            self.sim.schedule(self._dram_latency, self._resp_offer,
-                              resp, None)
+        self.sim.schedule(self._dram_latency, self._resp_offer, resp, None)
 
     def _service_done(self) -> None:
         self._busy = False

@@ -8,9 +8,8 @@ check at each hook site, so result digests are byte-identical with
 tracing off or on (``tests/obs/test_neutrality.py`` gates this).
 
 * :mod:`repro.obs.trace` -- the :class:`~repro.obs.trace.Tracer`:
-  bounded event ring buffer, per-component stall attribution, kernel
-  dispatch-tier accounting, and the flight-recorder snapshot taken when
-  a litmus/fuzz invariant fires.
+  bounded event ring buffer, per-component stall attribution, and the
+  flight-recorder snapshot taken when a litmus/fuzz invariant fires.
 * :mod:`repro.obs.chrome` -- export a trace dump as Chrome trace-event
   JSON (components as tracks, requests as flow events; loads in
   Perfetto or ``chrome://tracing``).

@@ -17,10 +17,6 @@ off:
   (``bucket[reason] = bucket.get(reason, 0) + n``), so the hot path
   pays one dict update and no method call.
 
-The kernel additionally tallies per-tier dispatch counts (ring / wheel /
-heap) through :meth:`Tracer.kernel_tally` -- the ground-truth data the
-ROADMAP's dispatch-loop batching item needs.
-
 The **flight recorder** (``TraceConfig.flight``) snapshots the ring the
 first time an invariant trips mid-run -- today the trigger is a stale
 read observed by a core -- so a fuzz violation carries the last N events
@@ -62,9 +58,7 @@ class Tracer:
     """
 
     __slots__ = ("ring", "ring_size", "appended", "flight_armed",
-                 "flight", "flight_triggers", "_stalls",
-                 "kernel_cycles", "kernel_ring", "kernel_wheel",
-                 "kernel_heap")
+                 "flight", "flight_triggers", "_stalls")
 
     def __init__(self, ring_size: int = 65536, flight: bool = False) -> None:
         self.ring_size = ring_size
@@ -74,10 +68,6 @@ class Tracer:
         self.flight: Optional[dict] = None
         self.flight_triggers = 0
         self._stalls: Dict[str, Dict[str, int]] = {}
-        self.kernel_cycles = 0
-        self.kernel_ring = 0
-        self.kernel_wheel = 0
-        self.kernel_heap = 0
 
     # -- event records --------------------------------------------------- #
 
@@ -105,15 +95,6 @@ class Tracer:
             bucket = {}
             self._stalls[component] = bucket
         return bucket
-
-    # -- kernel dispatch accounting -------------------------------------- #
-
-    def kernel_tally(self, ring_n: int, wheel_n: int, heap_n: int) -> None:
-        """One simulated cycle's dispatch mix (called by the kernel)."""
-        self.kernel_cycles += 1
-        self.kernel_ring += ring_n
-        self.kernel_wheel += wheel_n
-        self.kernel_heap += heap_n
 
     # -- flight recorder ------------------------------------------------- #
 
@@ -144,12 +125,6 @@ class Tracer:
         """
         out: dict = {
             "schema": OBS_SCHEMA,
-            "kernel": {
-                "cycles": self.kernel_cycles,
-                "ring_events": self.kernel_ring,
-                "wheel_events": self.kernel_wheel,
-                "heap_events": self.kernel_heap,
-            },
             "stalls": {name: dict(sorted(bucket.items()))
                        for name, bucket in sorted(self._stalls.items())
                        if bucket},

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Optional
 from repro.memory.versioned import VersionedMemory
 from repro.sim.component import Component
 from repro.sim.config import PimModuleConfig
-from repro.sim.kernel import Simulator, WHEEL_MASK, WHEEL_SLOTS
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.sim.stats import StatGroup
 
@@ -102,10 +102,9 @@ class PimModule(Component):
         self._executed = 0
         self._accesses = 0
         self.stats.register_flush(self._flush_stats)
-        self._access_on_wheel = 0 < access_latency < WHEEL_SLOTS
         # Pre-bound callables for the per-access hot path.
         self._resp_offer = resp_net.offer
-        self._serve_direct_bound = self._serve_direct
+        self._serve_access_bound = self._serve_access
         self._scope_done_bound = self._scope_done
         self._advance_scope_bound = self._advance_scope
         self._complete_op_bound = self._complete_op
@@ -172,14 +171,9 @@ class PimModule(Component):
                 self._scopes_with_queued_ops += 1
         elif not self._conflicts_with_ops(msg):
             # Record-data access: its arrays are not written by PIM ops;
-            # serve it directly at the access rate.  (Inlined wheel-tier
-            # Simulator.schedule; the interval is a small constant.)
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[
-                (sim.now + self.ACCESS_SERVICE_INTERVAL) & WHEEL_MASK
-            ].append((seq, self._serve_direct_bound, (msg,)))
-            sim._wheel_count += 1
+            # serve it directly at the access rate.
+            self.sim.schedule(self.ACCESS_SERVICE_INTERVAL,
+                              self._serve_access_bound, msg)
             return True
         else:
             self._queued_accesses += 1
@@ -238,23 +232,8 @@ class PimModule(Component):
             if self._waiting_senders:
                 self._wake_senders()
             self._serve_access(msg)
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[
-                (sim.now + self.ACCESS_SERVICE_INTERVAL) & WHEEL_MASK
-            ].append((seq, self._scope_done_bound, (scope,)))
-            sim._wheel_count += 1
-
-    def _serve_direct(self, msg: Message) -> None:
-        """Serve an access that bypassed the per-scope FIFO.
-
-        Nothing else references the message afterwards, so a terminal
-        writeback can recycle immediately (FIFO-ordered accesses keep
-        their message alive in ``_busy_scopes`` until ``_scope_done``).
-        """
-        self._serve_access(msg)
-        if msg.mtype is _WRITEBACK:
-            msg.release()
+            self.sim.schedule(self.ACCESS_SERVICE_INTERVAL,
+                              self._scope_done_bound, scope)
 
     def _serve_access(self, msg: Message) -> None:
         self._accesses += 1
@@ -272,16 +251,7 @@ class PimModule(Component):
             resp = msg.make_response(MessageType.FLUSH_ACK)
         else:  # pragma: no cover - defensive
             raise ValueError(f"PIM module cannot serve {mtype}")
-        if self._access_on_wheel:
-            # Inlined Simulator.schedule (wheel tier).
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._wheel[(sim.now + self.access_latency) & WHEEL_MASK].append(
-                (seq, self._resp_offer, (resp, None)))
-            sim._wheel_count += 1
-        else:
-            self.sim.schedule(self.access_latency, self._resp_offer,
-                              resp, None)
+        self.sim.schedule(self.access_latency, self._resp_offer, resp, None)
 
     def _latency_of(self, msg: Message) -> int:
         if self.config.zero_logic:
@@ -316,12 +286,7 @@ class PimModule(Component):
                 self._advance_scope(other)
 
     def _scope_done(self, scope: int) -> None:
-        msg = self._busy_scopes.pop(scope, None)
-        if msg is not None and msg.mtype is MessageType.WRITEBACK:
-            # Terminal (no response) and no longer referenced: recycle.
-            # Releasing earlier, in _serve_access, would put a message
-            # still held in _busy_scopes back into the pool.
-            msg.release()
+        self._busy_scopes.pop(scope, None)
         self._advance_scope(scope)
 
     def _wake_senders(self) -> None:

@@ -18,11 +18,10 @@ buffer fills, back-pressure propagates up to the host cores (Section VII).
 
 Hot-path notes: service kick-offs and wake-ups ride the kernel's
 immediate-dispatch ring (:meth:`Simulator.call_at_now`), never the heap;
-the per-message service and delivery events are unavoidable (they
-advance simulated time) but their rescheduling inlines the kernel's
-timing-wheel insert (:meth:`Simulator.schedule`, wheel tier) to skip
-the call frame; parked senders are kept in an insertion-ordered dict so
-the full-queue path is O(1) instead of a list-membership scan.
+the per-message service and delivery events go through
+:meth:`Simulator.schedule`, which picks the wheel or heap tier from the
+delay; parked senders are kept in an insertion-ordered dict so the
+full-queue path is O(1) instead of a list-membership scan.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Union
 
-from repro.sim.kernel import Simulator, WHEEL_MASK, WHEEL_SLOTS
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
 
 
@@ -71,8 +70,8 @@ class QueuedComponent(Component):
             (the stage's inverse bandwidth).
     """
 
-    __slots__ = ("capacity", "service_interval", "_interval_on_wheel",
-                 "_queue", "_waiting_senders", "_serving", "_stalled",
+    __slots__ = ("capacity", "service_interval", "_queue",
+                 "_waiting_senders", "_serving", "_stalled",
                  "_notify_enqueue", "_notify_dequeue", "_serve_bound")
 
     def __init__(
@@ -85,10 +84,6 @@ class QueuedComponent(Component):
         super().__init__(sim, name)
         self.capacity = capacity
         self.service_interval = service_interval
-        # Service rescheduling inlines the kernel's wheel insert; a
-        # (config-pathological) interval past the wheel horizon falls
-        # back to the generic schedule() call.
-        self._interval_on_wheel = 0 < service_interval < WHEEL_SLOTS
         self._queue: deque = deque()
         # Insertion-ordered dedup of parked senders: dict membership is
         # O(1) where the old list scan was O(n), and iteration preserves
@@ -131,11 +126,7 @@ class QueuedComponent(Component):
             self.on_enqueue(msg)
         if not self._serving and not self._stalled:
             self._serving = True
-            # Inlined Simulator.call_at_now: this kick runs once per
-            # idle-to-busy transition of every pipeline stage.
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._ring.append((seq, self._serve_bound, ()))
+            self.sim.call_at_now(self._serve_bound)
         return True
 
     def on_enqueue(self, msg: Message) -> None:
@@ -163,9 +154,7 @@ class QueuedComponent(Component):
             self._stalled = False
             if not self._serving:
                 self._serving = True
-                sim = self.sim
-                sim._seq = seq = sim._seq + 1
-                sim._ring.append((seq, self._serve_bound, ()))
+                self.sim.call_at_now(self._serve_bound)
 
     def _serve(self) -> None:
         queue = self._queue
@@ -177,16 +166,12 @@ class QueuedComponent(Component):
             if not queue:
                 self._serving = False
                 return
-            if trace is not None:
-                # Capture before handle(): a consumed message may go
-                # back to the pool inside it.
-                head = queue[0]
-                kind = head.mtype.name
-                op_id = head.op_id
-            result = self.handle(queue[0])
+            msg = queue[0]
+            result = self.handle(msg)
             if result is True:
                 if trace is not None:
-                    trace.record(self.sim.now, self.name, kind, op_id)
+                    trace.record(self.sim.now, self.name, msg.mtype.name,
+                                 msg.op_id)
                 queue.popleft()
                 if self._notify_dequeue:
                     self.on_dequeue()
@@ -194,16 +179,6 @@ class QueuedComponent(Component):
                     self._wake_senders()
                 if not queue:
                     self._serving = False
-                    return
-                if self._interval_on_wheel:
-                    # Inlined Simulator.schedule (wheel tier): this
-                    # reschedule runs once per message of every stage.
-                    sim = self.sim
-                    sim._seq = seq = sim._seq + 1
-                    sim._wheel[
-                        (sim.now + self.service_interval) & WHEEL_MASK
-                    ].append((seq, self._serve_bound, ()))
-                    sim._wheel_count += 1
                     return
                 if self.service_interval:
                     self.sim.schedule(self.service_interval, self._serve_bound)
@@ -236,9 +211,8 @@ class Link(QueuedComponent):
     propagates to the input queue.
     """
 
-    __slots__ = ("downstream", "latency", "_latency_on_wheel",
-                 "pipe_capacity", "_in_flight", "_delivering",
-                 "_dispatch_direct", "_try_deliver_bound")
+    __slots__ = ("downstream", "latency", "pipe_capacity", "_in_flight",
+                 "_delivering", "_dispatch_direct", "_try_deliver_bound")
 
     def __init__(
         self,
@@ -253,7 +227,6 @@ class Link(QueuedComponent):
         super().__init__(sim, name, capacity=capacity, service_interval=service_interval)
         self.downstream = downstream
         self.latency = latency
-        self._latency_on_wheel = 0 < latency < WHEEL_SLOTS
         self.pipe_capacity = pipe_capacity or max(2, latency)
         self._in_flight: deque = deque()
         self._delivering = False
@@ -287,26 +260,11 @@ class Link(QueuedComponent):
             in_flight.append((sim.now + latency, queue.popleft()))
             if not self._delivering:
                 self._delivering = True
-                if self._latency_on_wheel:
-                    # Inlined Simulator.schedule (wheel tier).
-                    sim._seq = seq = sim._seq + 1
-                    sim._wheel[(sim.now + latency) & WHEEL_MASK].append(
-                        (seq, self._try_deliver_bound, ()))
-                    sim._wheel_count += 1
-                else:
-                    sim.schedule(latency, self._try_deliver_bound)
+                sim.schedule(latency, self._try_deliver_bound)
             if self._waiting_senders:
                 self._wake_senders()
             if not queue:
                 self._serving = False
-                return
-            if self._interval_on_wheel:
-                # Inlined Simulator.schedule (wheel tier).
-                sim._seq = seq = sim._seq + 1
-                sim._wheel[
-                    (sim.now + self.service_interval) & WHEEL_MASK
-                ].append((seq, self._serve_bound, ()))
-                sim._wheel_count += 1
                 return
             if self.service_interval:
                 sim.schedule(self.service_interval, self._serve_bound)
@@ -323,20 +281,10 @@ class Link(QueuedComponent):
             while in_flight:
                 arrival, msg = in_flight[0]
                 if arrival > now:
-                    if self._latency_on_wheel:
-                        # Inlined Simulator.schedule (wheel tier): the gap
-                        # to the next arrival never exceeds the latency.
-                        sim._seq = seq = sim._seq + 1
-                        sim._wheel[arrival & WHEEL_MASK].append(
-                            (seq, self._try_deliver_bound, ()))
-                        sim._wheel_count += 1
-                    else:
-                        sim.schedule(arrival - now, self._try_deliver_bound)
+                    sim.schedule(arrival - now, self._try_deliver_bound)
                     return
                 in_flight.popleft()
                 if trace is not None:
-                    # Record before handing over: the consumer may
-                    # release the pooled message.
                     trace.record(now, self.name, msg.mtype.name, msg.op_id)
                 msg.reply_to.receive_response(msg)
                 if self._stalled:
@@ -348,13 +296,7 @@ class Link(QueuedComponent):
             head = in_flight[0]
             arrival = head[0]
             if arrival > now:
-                if self._latency_on_wheel:
-                    sim._seq = seq = sim._seq + 1
-                    sim._wheel[arrival & WHEEL_MASK].append(
-                        (seq, self._try_deliver_bound, ()))
-                    sim._wheel_count += 1
-                else:
-                    sim.schedule(arrival - now, self._try_deliver_bound)
+                sim.schedule(arrival - now, self._try_deliver_bound)
                 return
             if not downstream_offer(head[1], self):
                 # Downstream full: it will call our unblock() when space
@@ -385,9 +327,7 @@ class ResponseDispatcher(Component):
 
     Response consumers (cores, entry points) are assumed to always accept;
     they model their own capacity internally (e.g. MLP limits are enforced
-    at issue time, not at response delivery).  Each consumer's
-    ``receive_response`` owns the message afterwards and releases pooled
-    responses back to the free list.
+    at issue time, not at response delivery).
     """
 
     __slots__ = ()

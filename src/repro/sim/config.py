@@ -204,8 +204,8 @@ class TraceConfig:
     perturbs the simulation (gated by ``tests/obs/test_neutrality.py``).
     """
 
-    #: Build a tracer: event ring (if ``ring_size > 0``), stall
-    #: attribution, kernel dispatch-tier accounting.
+    #: Build a tracer: event ring (if ``ring_size > 0``) and stall
+    #: attribution.
     enabled: bool = False
     #: Event ring capacity (records kept; oldest dropped when full).
     #: 0 disables event records -- stall attribution still runs, which

@@ -41,9 +41,10 @@ from repro.sim import messages as _messages
 
 #: Timing-wheel size (power of two).  Delays 1..WHEEL_SLOTS-1 ride the
 #: wheel; the bound must stay above the largest common latency in the
-#: timing model (DRAM/PIM accesses: 200 cycles).  The hottest schedule
-#: sites inline the wheel insert against WHEEL_MASK directly -- change
-#: the entry shape or the constants here and there together.
+#: timing model (DRAM/PIM accesses: 200 cycles).  Components schedule
+#: only through :meth:`Simulator.schedule` / :meth:`Simulator.call_at_now`,
+#: so the tiers and the ``(seq, callback, args)`` entry shape are private
+#: to this module.
 WHEEL_SLOTS = 256
 WHEEL_MASK = WHEEL_SLOTS - 1
 
@@ -67,7 +68,7 @@ class Simulator:
     """
 
     __slots__ = ("now", "_queue", "_ring", "_wheel", "_wheel_count", "_seq",
-                 "_events_executed", "_running", "_stop", "_trace")
+                 "_events_executed", "_running", "_stop")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -79,10 +80,6 @@ class Simulator:
         self._events_executed: int = 0
         self._running = False
         self._stop = False
-        # Observability hook (a Tracer, or None).  The untraced run loop
-        # never reads it past the single branch in :meth:`run`, so
-        # tracing off costs nothing on the hot path.
-        self._trace = None
 
     @property
     def events_executed(self) -> int:
@@ -122,11 +119,8 @@ class Simulator:
     def call_at_now(self, callback: Callable, *args: Any) -> None:
         """Fast path for ``schedule(0, ...)``: no delay validation at all.
 
-        NOTE: the hottest kick sites (QueuedComponent.offer/unblock,
-        Core._schedule_step, MemoryController.offer) inline this body to
-        skip the call frame -- change the ring-entry shape here and
-        there together.  (The hottest small-delay sites likewise inline
-        the wheel insert from :meth:`schedule`.)
+        Service kick-offs and wake-ups (``QueuedComponent.offer`` /
+        ``unblock``, core steps, the MC's serve loop) go through here.
         """
         self._seq = seq = self._seq + 1
         self._ring.append((seq, callback, args))
@@ -162,11 +156,6 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        if self._trace is not None:
-            # The traced loop is a byte-identical twin of the one below
-            # plus per-cycle tier tallies; keeping it separate keeps the
-            # disabled path free of any per-event tracing cost.
-            return self._run_traced(until, max_events, stop_when)
         self._running = True
         try:
             # Local aliases: this loop is the hottest code in the package.
@@ -288,126 +277,6 @@ class Simulator:
             self._wheel_count += len(bucket)
             self._running = False
 
-    def _run_traced(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        """The :meth:`run` loop plus per-cycle dispatch-tier tallies.
-
-        Selection, ordering, stop handling and bookkeeping are copied
-        verbatim from :meth:`run`; the only additions are the three tier
-        counters flushed to ``Tracer.kernel_tally`` once per simulated
-        cycle that dispatched anything.  Event order (and therefore
-        every result digest) is identical to the untraced loop.
-        """
-        self._running = True
-        trace = self._trace
-        tally = trace.kernel_tally
-        c_ring = c_wheel = c_heap = 0
-        try:
-            queue = self._queue
-            ring = self._ring
-            wheel = self._wheel
-            mask = WHEEL_MASK
-            pop = heapq.heappop
-            ring_popleft = ring.popleft
-            events = self._events_executed
-            now = self.now
-            limit = sys.maxsize if max_events is None else max_events
-            bucket = wheel[now & mask]
-            self._wheel_count -= len(bucket)
-            heap_at_now = True
-            if until is not None and now > until:
-                return
-            while True:
-                # -- select exactly one event ------------------------- #
-                if bucket:
-                    if heap_at_now and queue:
-                        head = queue[0]
-                        if head[0] != now:
-                            heap_at_now = False
-                            _, cb, args = bucket.popleft()
-                            c_wheel += 1
-                        elif head[1] < bucket[0][0]:
-                            pop(queue)
-                            cb = head[2]
-                            args = head[3]
-                            c_heap += 1
-                        else:
-                            _, cb, args = bucket.popleft()
-                            c_wheel += 1
-                    else:
-                        heap_at_now = False
-                        _, cb, args = bucket.popleft()
-                        c_wheel += 1
-                elif heap_at_now:
-                    if queue and queue[0][0] == now:
-                        head = pop(queue)
-                        cb = head[2]
-                        args = head[3]
-                        c_heap += 1
-                    else:
-                        heap_at_now = False
-                        continue
-                elif ring:
-                    _, cb, args = ring_popleft()
-                    c_ring += 1
-                else:
-                    # -- advance time (or finish) --------------------- #
-                    if c_ring or c_wheel or c_heap:
-                        tally(c_ring, c_wheel, c_heap)
-                        c_ring = c_wheel = c_heap = 0
-                    if self._wheel_count:
-                        t = now + 1
-                        nxt = wheel[t & mask]
-                        if queue:
-                            heap_time = queue[0][0]
-                            while not nxt and t != heap_time:
-                                t += 1
-                                nxt = wheel[t & mask]
-                        else:
-                            while not nxt:
-                                t += 1
-                                nxt = wheel[t & mask]
-                    elif queue:
-                        t = queue[0][0]
-                        nxt = wheel[t & mask]
-                    else:
-                        return
-                    if until is not None and t > until:
-                        self.now = until
-                        return
-                    self.now = now = t
-                    bucket = nxt
-                    self._wheel_count -= len(bucket)
-                    heap_at_now = True
-                    continue
-                # -- dispatch + the one shared post-event epilogue ---- #
-                if args:
-                    cb(*args)
-                else:
-                    cb()
-                events += 1
-                if events >= limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at cycle {self.now}"
-                    )
-                if self._stop:
-                    self._stop = False
-                    return
-                if stop_when is not None:
-                    self._events_executed = events
-                    if stop_when():
-                        return
-        finally:
-            if c_ring or c_wheel or c_heap:
-                tally(c_ring, c_wheel, c_heap)
-            self._events_executed = events
-            self._wheel_count += len(bucket)
-            self._running = False
-
     def pending_events(self) -> int:
         """Number of events waiting (dispatch ring + wheel + heap)."""
         count = len(self._queue) + len(self._ring) + self._wheel_count
@@ -418,10 +287,10 @@ class Simulator:
         return count
 
     def reset_ids(self) -> None:
-        """Reset the process-global message id counter and free-list pool.
+        """Restart the process-global message ``op_id`` sequence.
 
         Call between experiments in one process so ``op_id`` sequences
-        (and pooled-message identity) are reproducible per run; this is
-        what keeps the Serial and ProcessPool backends byte-identical.
+        are reproducible per run: flight-dump replay and the Serial vs
+        ProcessPool obs identity both need op ids to restart per System.
         """
         _messages.reset_ids()

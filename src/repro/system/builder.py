@@ -60,8 +60,9 @@ class System:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.sim = Simulator()
-        # Fresh op-id sequence and message pool per system: experiments
-        # in one process (and forked pool workers) must be byte-identical.
+        # Fresh op-id sequence per system: experiments in one process
+        # (and forked pool workers) must be byte-identical, down to the
+        # op ids in trace payloads and flight dumps.
         self.sim.reset_ids()
         self.policy = IssuePolicy(config.model)
         self.scope_map = ScopeMap(
@@ -179,7 +180,6 @@ class System:
                 ring_size=config.trace.ring_size,
                 flight=config.trace.flight,
             )
-            self.sim._trace = tracer
             self.mc._stalls = tracer.stall_bucket(self.mc.name)
             self.pim_module._stalls = tracer.stall_bucket(
                 self.pim_module.name)

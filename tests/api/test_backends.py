@@ -114,7 +114,7 @@ def test_experiments_and_results_are_picklable():
 def test_backends_produce_identical_stats_views():
     """Satellite of the kernel overhaul: the typed StatsView namespaces
     (not just the raw dicts) agree between backends, which relies on the
-    per-run op-id/pool reset in Simulator.reset_ids()."""
+    per-run op-id reset in Simulator.reset_ids()."""
     exp = _experiments()[2]
     serial = SerialBackend().run(exp)
     pooled = ProcessPoolBackend(jobs=2).run_all([exp])[0]

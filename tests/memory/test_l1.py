@@ -68,6 +68,34 @@ def test_store_miss_fetches_exclusive(sim, scope_map):
     assert line.state is MesiState.MODIFIED
 
 
+def test_hit_latency_beyond_the_wheel_responds_exactly(sim, scope_map):
+    """Hit latencies of WHEEL_SLOTS or more are scheduled on the heap:
+    the refill answer and both hit paths land exactly on time."""
+    net = CaptureSink(sim, "net")
+    l1 = L1Cache(
+        sim, "l1.0", 0,
+        CacheConfig(size_bytes=4 << 10, ways=4, hit_latency=300),
+        scope_map, net,
+    )
+    arrivals = []
+
+    class Timed:
+        def receive_response(self, msg):
+            arrivals.append((msg.mtype, sim.now))
+
+    core = Timed()
+    l1.offer(make_store(0x1000, reply_to=core))
+    sim.run()
+    _fill_response(l1, net.of_type(MessageType.LOAD)[0])  # exclusive fill
+    sim.run()
+    l1.offer(make_load(0x1008, reply_to=core))
+    l1.offer(make_store(0x1000, reply_to=core))
+    sim.run()
+    assert arrivals == [(MessageType.STORE_ACK, 300),
+                        (MessageType.LOAD_RESP, 600),
+                        (MessageType.STORE_ACK, 601)]
+
+
 def test_store_hit_on_exclusive_completes_locally(sim, scope_map):
     l1, net = _l1(sim, scope_map)
     core = ResponseCollector()

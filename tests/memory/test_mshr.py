@@ -235,8 +235,8 @@ def test_writeback_during_refill(sim, scope_map):
 
 def test_refill_past_wheel_horizon_routes_to_heap(sim, scope_map):
     """Regression for the scheduler tiers: an MSHR refill whose response
-    latency exceeds the 255-cycle wheel horizon must heap-route (the
-    inlined wheel fast path is gated on the latency, not assumed)."""
+    latency exceeds the 255-cycle wheel horizon must heap-route
+    (Simulator.schedule picks the tier from the delay)."""
     net = CaptureSink(sim, "net")
     l1 = L1Cache(
         sim, "l1.0", 0,

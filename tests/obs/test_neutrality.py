@@ -4,7 +4,7 @@ This is the observability layer's hard constraint.  The specs and
 pinned digests here mirror ``tests/api/test_default_digests.py``
 exactly -- but every run executes under a full trace overlay (event
 ring + flight recorder armed).  If a trace hook ever schedules an
-event, consumes pooled-message state, or perturbs a queue decision,
+event, mutates a message, or perturbs a queue decision,
 these digests move and this file fails before any baseline silently
 re-pins.
 """
@@ -98,7 +98,8 @@ def test_obs_payload_rides_only_on_traced_results():
     assert untraced.obs is None
     assert "obs" not in untraced.to_dict()
     assert traced.obs["schema"] == "repro-obs/1"
-    assert traced.obs["kernel"]["cycles"] > 0
+    assert "stalls" in traced.obs
+    assert traced.obs["events_recorded"] > 0
     assert traced.to_dict()["obs"] == traced.obs
     # identical simulated behavior either way
     assert (untraced.run_time, untraced.events, untraced.stale_reads,

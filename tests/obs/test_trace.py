@@ -1,4 +1,4 @@
-"""The Tracer: ring bounding, stalls, kernel tallies, export shape."""
+"""The Tracer: ring bounding, stalls, export shape."""
 
 import pytest
 
@@ -33,15 +33,6 @@ def test_stall_buckets_are_shared_and_mutable():
     tracer.stall_bucket("l1-0")["mshr_full"] = 2
     tracer.stall_bucket("l1-1")  # untouched bucket stays out of export
     assert tracer.export()["stalls"] == {"l1-0": {"mshr_full": 2}}
-
-
-def test_kernel_tally_accumulates_per_tier():
-    tracer = Tracer(ring_size=0)
-    tracer.kernel_tally(3, 2, 1)
-    tracer.kernel_tally(1, 0, 0)
-    out = tracer.export()["kernel"]
-    assert out == {"cycles": 2, "ring_events": 4, "wheel_events": 2,
-                   "heap_events": 1}
 
 
 def test_export_schema_and_event_fields():

@@ -118,6 +118,40 @@ def test_link_adds_latency_and_preserves_fifo():
     assert [t for t, _ in sink.received] == [7, 9, 11]
 
 
+def test_service_interval_beyond_the_wheel_serves_exactly():
+    """Intervals of WHEEL_SLOTS or more are scheduled on the heap."""
+    sim = Simulator()
+    sink = Sink(sim, service_interval=300)
+    for _ in range(3):
+        assert sink.offer(_msg())
+    sim.run()
+    assert [t for t, _ in sink.received] == [0, 300, 600]
+
+
+def test_link_latency_beyond_the_wheel_delivers_exactly():
+    """Latencies of WHEEL_SLOTS or more are scheduled on the heap, on
+    both delivery paths: into a queue and into a response dispatcher."""
+    sim = Simulator()
+    sink = Sink(sim)
+    link = Link(sim, "link", sink, latency=300, service_interval=2)
+    arrivals = []
+
+    class Receiver:
+        def receive_response(self, msg):
+            arrivals.append(sim.now)
+
+    receiver = Receiver()
+    resp_link = Link(sim, "resp", ResponseDispatcher(sim, "d"),
+                     latency=300, service_interval=2)
+    for _ in range(3):
+        assert link.offer(_msg())
+        assert resp_link.offer(Message(MessageType.LOAD_RESP,
+                                       reply_to=receiver))
+    sim.run()
+    assert [t for t, _ in sink.received] == [300, 302, 304]
+    assert arrivals == [300, 302, 304]
+
+
 def test_link_backpressure_propagates():
     sim = Simulator()
     sink = StuckSink(sim, capacity=1)

@@ -1,62 +1,48 @@
-"""Message free-list pool semantics."""
+"""Messages stay what they were when delivered.
 
-from repro.sim import messages
+A consumer may keep a response after ``receive_response`` returns (a
+tracer, an assertion, the stale-read callback); nothing in the
+simulator may reuse that object afterwards.
+"""
+
+from repro.api.backends import execute_experiment
+from repro.api.experiment import Experiment
+from repro.host.core import Core
 from repro.sim.messages import Message, MessageType
 
-
-def setup_function(_fn):
-    messages.reset_ids()
-
-
-def test_constructor_messages_never_enter_the_pool():
-    msg = Message(MessageType.LOAD, addr=0x40)
-    msg.release()  # no-op: not pool-acquired
-    acquired = Message.acquire(MessageType.STORE, addr=0x80)
-    assert acquired is not msg
+_LITMUS = {
+    "workload": "litmus",
+    "params": {"rounds": 5, "threads": 2},
+    "config": {"preset": "scaled", "model": "atomic", "num_scopes": 2},
+}
 
 
-def test_acquire_reuses_released_instances():
-    first = Message.acquire(MessageType.LOAD, addr=0x40, version=3)
-    first_id = first.op_id
-    first.release()
-    second = Message.acquire(MessageType.STORE, addr=0x80)
-    assert second is first  # recycled
-    assert second.mtype is MessageType.STORE
-    assert second.addr == 0x80
-    assert second.version == 0  # fully re-initialized
-    assert second.req is None
-    assert second.op_id == first_id + 1  # fresh id, same global sequence
+def _fields(msg):
+    return (msg.mtype, msg.addr, msg.scope, msg.op_id, msg.req)
 
 
-def test_release_is_idempotent():
-    msg = Message.acquire(MessageType.LOAD)
-    msg.release()
-    msg.release()  # double release must not corrupt the pool
-    a = Message.acquire(MessageType.LOAD)
-    b = Message.acquire(MessageType.LOAD)
-    assert a is not b
+def test_kept_responses_are_never_overwritten(monkeypatch):
+    kept = []
+    deliver = Core.receive_response
+
+    def keep(core, resp):
+        kept.append((resp, _fields(resp)))
+        deliver(core, resp)
+
+    monkeypatch.setattr(Core, "receive_response", keep)
+    execute_experiment(Experiment.from_dict(_LITMUS))
+    assert kept
+    changed = [snapshot for resp, snapshot in kept
+               if _fields(resp) != snapshot]
+    assert not changed, f"{len(changed)} of {len(kept)} kept responses reused"
 
 
-def test_make_response_draws_from_the_pool():
-    req = Message(MessageType.LOAD, addr=0x1000, scope=2, core=1)
+def test_make_response_answers_its_request():
+    req = Message(MessageType.LOAD, addr=0x1000, scope=2, core=1,
+                  reply_to="core1")
     resp = req.make_response(MessageType.LOAD_RESP, version=7)
     assert resp.req is req
-    assert (resp.addr, resp.scope, resp.core, resp.version) == (0x1000, 2, 1, 7)
-    resp.release()
-    recycled = req.make_response(MessageType.STORE_ACK)
-    assert recycled is resp
-
-
-def test_reset_ids_clears_the_pool():
-    msg = Message.acquire(MessageType.LOAD)
-    msg.release()
-    messages.reset_ids()
-    assert Message.acquire(MessageType.LOAD) is not msg
-
-
-def test_op_ids_match_plain_construction_sequence():
-    """Pooled acquisition draws from the same id counter as __init__,
-    so a pooled run's op_id sequence is identical to an unpooled one."""
-    ids = [Message(MessageType.LOAD).op_id for _ in range(2)]
-    pooled = Message.acquire(MessageType.LOAD)
-    assert pooled.op_id == ids[-1] + 1
+    assert (resp.mtype, resp.addr, resp.scope, resp.core, resp.reply_to,
+            resp.version) == (MessageType.LOAD_RESP, 0x1000, 2, 1, "core1", 7)
+    assert not (resp.exclusive or resp.uncacheable or resp.direct)
+    assert resp.op_id == req.op_id + 1  # fresh id from the same sequence
