@@ -41,7 +41,6 @@ from repro.api.backends import (
     ExperimentFailure,
     ProcessPoolBackend,
     SerialBackend,
-    WorkQueueBackend,
     backend_for,
     execute_experiment,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "SimulationResult",
     "StatsView",
     "Sweep",
-    "WorkQueueBackend",
     "UnknownWorkloadError",
     "WorkloadRegistry",
     "backend_for",

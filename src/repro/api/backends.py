@@ -31,7 +31,7 @@ from repro.sim.config import TraceConfig
 from repro.system.simulation import SimulationResult, run_workload
 
 #: Progress callback for settled batches: called with the number of
-#: points that just finished (usually 1; a distributed shard at once).
+#: points that just finished.
 ProgressFn = Callable[[int], None]
 
 
@@ -58,17 +58,12 @@ def execute_experiment(experiment: Experiment,
 class ExperimentFailure:
     """One failed point of a settled batch.
 
-    Plain data (a traceback string), so it crosses the process-pool
-    boundary exactly like a result does.  ``retryable`` separates the
-    failure taxonomy the work queue acts on: ``False`` means the *spec*
-    failed (a deterministic error that would fail identically on any
-    retry -- never retried, isolated per point), ``True`` means the
-    *environment* failed (a hung point hitting the pool timeout, a point
-    lost to worker crashes) and re-running it may well succeed.
+    Plain data (a traceback string or a timeout message), so it crosses
+    the process-pool boundary exactly like a result does.  Failures
+    never enter a cache, so a resumed campaign re-runs exactly them.
     """
 
     error: str
-    retryable: bool = False
 
 
 #: What one point of a settled batch yields.
@@ -195,9 +190,9 @@ class ProcessPoolBackend(ExecutionBackend):
             models at high scope counts run much longer than Naive at
             low ones).
         timeout_s: per-point wall-clock budget for *settled* batches.  A
-            point that exceeds it settles as a retryable
+            point that exceeds it settles as an
             :class:`ExperimentFailure` instead of wedging the whole
-            shard; the hung child is killed when the pool closes.  The
+            batch; the hung child is killed when the pool closes.  The
             budget is measured from when the batch starts waiting on
             that point, so it bounds wait-per-point, not total wall.
     """
@@ -244,7 +239,7 @@ class ProcessPoolBackend(ExecutionBackend):
                         f"point {experiment.spec_hash()} exceeded the "
                         f"{self.timeout_s}s per-point timeout (hung "
                         f"simulation or starved worker); killed with the "
-                        f"pool", retryable=True))
+                        f"pool"))
                 if progress is not None:
                     progress(1)
             return settled
@@ -266,63 +261,3 @@ class ProcessPoolBackend(ExecutionBackend):
         return multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-
-
-class WorkQueueBackend(ExecutionBackend):
-    """Distribute a settled batch across ``repro-bench worker`` fleets.
-
-    The batch is sharded into lease-protected task files under the
-    store's ``queue/`` tree (see :mod:`repro.api.workqueue`); any worker
-    pointed at the same store pulls shards and persists results
-    write-through.  The coordinator embedded in this backend re-leases
-    expired shards, retries transient failures with capped backoff, and
-    degrades to local execution through ``fallback`` when no workers
-    pick tasks up within the grace period -- so ``--distributed`` never
-    needs a fleet to make progress, it only goes faster with one.
-
-    Only :meth:`run_all_settled` is distributed; :meth:`run_all` runs
-    the same path and raises on the first failure (matching the strict
-    contract of the other backends).  Keyword arguments mirror
-    :class:`~repro.api.workqueue.Coordinator`.
-    """
-
-    name = "work-queue"
-
-    def __init__(self, store, **coordinator_kwargs) -> None:
-        from repro.api.store import ResultStore
-
-        if not isinstance(store, ResultStore):
-            store = ResultStore(store)
-        self.store = store
-        self._kwargs = coordinator_kwargs
-        #: The last run's supervision counters (set by run_all_settled).
-        self.last_stats: Optional[dict] = None
-
-    def _coordinator(self):
-        from repro.api.workqueue import Coordinator
-
-        return Coordinator(self.store, **self._kwargs)
-
-    def run_all(self, experiments: Sequence[Experiment]) -> List[SimulationResult]:
-        results = []
-        for outcome in self.run_all_settled(experiments):
-            if isinstance(outcome, ExperimentFailure):
-                raise RuntimeError(
-                    f"distributed point failed:\n{outcome.error}")
-            results.append(outcome)
-        return results
-
-    def run_all_settled(self, experiments: Sequence[Experiment],
-                        store=None,
-                        trace: Optional[TraceConfig] = None,
-                        progress: Optional[ProgressFn] = None) -> List[Settled]:
-        if store is not None and os.fspath(store.root) != self.store.root:
-            raise ValueError(
-                f"WorkQueueBackend is bound to store {self.store.root!r} "
-                f"but the batch was dispatched with store {store.root!r}; "
-                f"the queue and the results must share one store")
-        coordinator = self._coordinator()
-        settled = coordinator.run(experiments, trace=trace,
-                                  progress=progress)
-        self.last_stats = dict(coordinator.stats)
-        return settled

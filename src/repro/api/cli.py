@@ -11,8 +11,6 @@ The subcommands (``--log-level LEVEL`` before any of them, or
     repro-bench sweep run CAMPAIGN [--jobs N|auto] [--output FILE]
                           [--report FILE] [--resume FILE] [--store DIR]
                           [--timeout-s N] [--trace] [--no-progress]
-                          [--distributed] [--shard-size N]
-                          [--lease-s N] [--grace-s N] [--max-attempts N]
         Declarative campaigns: expand a registered campaign (or a JSON
         campaign file) into its experiment grid and execute it with
         per-point failure isolation.  ``--output`` writes the campaign
@@ -24,36 +22,12 @@ The subcommands (``--log-level LEVEL`` before any of them, or
         already on disk hydrate without simulating, fresh points persist
         as they finish -- any campaign resumes across sessions without
         an artifact file.  ``--timeout-s`` bounds each point's wall
-        clock (a hung point fails settled instead of wedging the shard).
-        ``--distributed`` shards the campaign into a lease-protected
-        work queue under the store that any fleet of ``repro-bench
-        worker`` processes can chew cooperatively; crashed or straggling
-        workers are re-dispatched, transient failures retried with
-        capped backoff, and the run degrades to local execution when no
-        worker joins within the grace period.  ``--trace`` overlays
-        stall-attribution tracing on execution (spec hashes, store keys
-        and the campaign digest are unchanged; observation never
-        perturbs results) so the report gains a per-point stall table;
-        a progress line with ETA streams to stderr unless
-        ``--no-progress``.
-
-    repro-bench worker --store DIR [--poll-s N] [--max-idle-s N]
-                       [--max-tasks N] [--once] [--id NAME]
-        Join the fleet: pull queue tasks published under the store,
-        execute their points with write-through persistence, heartbeat
-        the lease after every point.  Safe to run any number of these
-        on any machine sharing the store directory.
-
-    repro-bench queue status [--store DIR] [--json]
-    repro-bench queue tail [--store DIR] [--lines N] [--follow]
-                           [--poll-s N] [--max-s N]
-        ``status`` shows each active queue run: shards, leases
-        (active/expired), completed tasks; ``--json`` emits the rows
-        machine-readably.  ``tail`` renders the fleet's structured
-        telemetry (``<store>/queue/telemetry.jsonl``: claim/start/
-        point/heartbeat/finish/retry/... records from every worker and
-        coordinator) as a live text view; ``--follow`` keeps polling
-        for new records.
+        clock (a hung point fails settled instead of wedging the batch).
+        ``--trace`` overlays stall-attribution tracing on execution
+        (spec hashes, store keys and the campaign digest are unchanged;
+        observation never perturbs results) so the report gains a
+        per-point stall table; a progress line with ETA streams to
+        stderr unless ``--no-progress``.
 
     repro-bench trace run WORKLOAD [--model NAME] [--num-scopes N]
                           [--param key=value ...] [--preset scaled|paper]
@@ -194,8 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("debug", "info", "warning", "error",
                                  "critical"),
                         help="verbosity of the 'repro' logger hierarchy "
-                             "(overrides $REPRO_LOG; default: warning, "
-                             "or info for distributed commands)")
+                             "(overrides $REPRO_LOG; default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list registered workloads")
@@ -237,8 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "finish")
     srun.add_argument("--timeout-s", type=float, default=None, metavar="N",
                       help="per-point wall-clock budget; a hung point "
-                           "fails settled (and retryable) instead of "
-                           "wedging its shard")
+                           "fails settled instead of wedging the batch")
     srun.add_argument("--trace", action="store_true",
                       help="overlay stall-attribution tracing on "
                            "execution (no event ring; spec hashes and "
@@ -247,69 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--no-progress", action="store_true",
                       help="suppress the stderr progress line "
                            "(points done/total with ETA)")
-    srun.add_argument("--distributed", action="store_true",
-                      help="execute through the lease-protected work "
-                           "queue under --store so repro-bench worker "
-                           "fleets can share the campaign; requires a "
-                           "store")
-    srun.add_argument("--shard-size", type=int, default=4, metavar="N",
-                      help="points per published work-queue task "
-                           "(--distributed)")
-    srun.add_argument("--lease-s", type=float, default=60.0, metavar="N",
-                      help="worker lease duration; must exceed the "
-                           "longest single point (--distributed)")
-    srun.add_argument("--grace-s", type=float, default=15.0, metavar="N",
-                      help="how long a task may go unclaimed before the "
-                           "coordinator runs it locally (--distributed)")
-    srun.add_argument("--max-attempts", type=int, default=4, metavar="N",
-                      help="tries per task before its points settle as "
-                           "lost (--distributed)")
-
-    worker = sub.add_parser("worker",
-                            help="pull and execute work-queue tasks from "
-                                 "a shared store")
-    worker.add_argument("--store", default=None, metavar="DIR",
-                        help="store directory (default: $REPRO_STORE)")
-    worker.add_argument("--poll-s", type=float, default=0.5, metavar="N",
-                        help="idle sleep between queue scans")
-    worker.add_argument("--max-idle-s", type=float, default=None,
-                        metavar="N",
-                        help="exit after the queue stays empty this long "
-                             "(default: poll forever)")
-    worker.add_argument("--max-tasks", type=int, default=None, metavar="N",
-                        help="exit after completing N tasks")
-    worker.add_argument("--once", action="store_true",
-                        help="drain what is claimable now, then exit")
-    worker.add_argument("--id", default=None, metavar="NAME",
-                        help="worker identity recorded in leases "
-                             "(default: <hostname>-<pid>)")
-
-    queue = sub.add_parser("queue", help="inspect the distributed work "
-                                         "queue")
-    qsub = queue.add_subparsers(dest="queue_command", required=True)
-    qstatus = qsub.add_parser("status", help="show active queue runs")
-    qstatus.add_argument("--store", default=None, metavar="DIR",
-                         help="store directory (default: $REPRO_STORE)")
-    qstatus.add_argument("--json", action="store_true",
-                         help="emit the run rows as JSON (machine-"
-                              "readable; an empty queue prints [])")
-    qtail = qsub.add_parser("tail",
-                            help="render the fleet's telemetry "
-                                 "(claims, points, heartbeats, "
-                                 "retries) as a live text view")
-    qtail.add_argument("--store", default=None, metavar="DIR",
-                       help="store directory (default: $REPRO_STORE)")
-    qtail.add_argument("--lines", type=int, default=20, metavar="N",
-                       help="show the last N records of the backlog "
-                            "first (0 for none)")
-    qtail.add_argument("--follow", action="store_true",
-                       help="keep polling for new records "
-                            "(Ctrl-C to stop)")
-    qtail.add_argument("--poll-s", type=float, default=0.5, metavar="N",
-                       help="poll interval while following")
-    qtail.add_argument("--max-s", type=float, default=None, metavar="N",
-                       help="stop following after N seconds "
-                            "(default: follow forever)")
 
     trace = sub.add_parser("trace",
                            help="record, report and export simulation "
@@ -631,7 +540,6 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
 
     from repro.analysis.report import (campaign_markdown, format_table,
                                        latency_table, stalls_table)
-    from repro.api.backends import WorkQueueBackend, backend_for
     from repro.api.runner import Runner
     from repro.api.sweep import load_results, run_campaign
     from repro.sim.config import TraceConfig
@@ -651,17 +559,7 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     hashes = {p.experiment.spec_hash() for p in points}
     cached = len(hashes & set(resume)) if resume else 0
     store = _store_from_args(args)
-    if args.distributed:
-        if store is None:
-            raise SystemExit(
-                "--distributed needs a store (the queue lives under it): "
-                "pass --store DIR or set $REPRO_STORE")
-        backend = WorkQueueBackend(
-            store, shard_size=args.shard_size, lease_s=args.lease_s,
-            grace_s=args.grace_s, max_attempts=args.max_attempts,
-            fallback=backend_for(jobs, timeout_s=args.timeout_s))
-    else:
-        backend = backend_for(jobs, timeout_s=args.timeout_s)
+    backend = backend_for(jobs, timeout_s=args.timeout_s)
     print(f"campaign {campaign.name}: {len(points)} points "
           f"({len(hashes)} unique, {cached} from cache) "
           f"on the {backend.name} backend"
@@ -698,12 +596,6 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         if runner.reconciled:
             print(f"store: {runner.reconciled} failed points reconciled "
                   f"from concurrent writers")
-    if args.distributed and getattr(backend, "last_stats", None):
-        s = backend.last_stats
-        print(f"queue: {s['shards']} shards "
-              f"({s['worker_shards']} by workers, {s['local_shards']} "
-              f"local), {s['expired_leases']} leases re-dispatched, "
-              f"{s['retries']} retries, {s['lost_points']} lost")
     print(f"backend dispatches: {runner.dispatch_count}")
 
     if args.output is not None:
@@ -733,29 +625,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _cmd_sweep_run(args)
 
 
-def _configure_logging(flag: Optional[str], default: str = "warning") -> None:
+def _configure_logging(flag: Optional[str]) -> None:
     """Tune the ``repro`` logger hierarchy (idempotent, never the root).
 
-    Precedence: ``--log-level`` beats ``$REPRO_LOG`` beats ``default``.
-    The distributed machinery (worker, ``sweep run --distributed``)
-    defaults to info so fleet activity narrates itself.
+    Precedence: ``--log-level`` beats ``$REPRO_LOG`` beats warning.
     """
     from repro.obs.logconf import configure_logging
 
     try:
-        configure_logging(flag, default=default)
+        configure_logging(flag)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-
-
-def _log_default(args: argparse.Namespace) -> str:
-    if args.command == "worker":
-        return "info"
-    if (args.command == "sweep"
-            and getattr(args, "sweep_command", None) == "run"
-            and args.distributed):
-        return "info"
-    return "warning"
 
 
 def _fmt_eta(seconds: float) -> str:
@@ -810,69 +690,6 @@ def _sweep_progress(total: int, stream=None):
         stream.flush()
 
     return tick
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.api.workqueue import run_worker
-
-    store = _require_store(args)
-    completed = run_worker(
-        store, worker_id=args.id, poll_s=args.poll_s, once=args.once,
-        max_idle_s=args.max_idle_s, max_tasks=args.max_tasks)
-    print(f"worker exiting: {completed} tasks completed")
-    return 0
-
-
-def _cmd_queue_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis.report import format_table
-    from repro.api.workqueue import queue_status
-
-    runs = queue_status(_require_store(args))
-    if args.json:
-        print(json.dumps(runs, indent=2, sort_keys=True))
-        return 0
-    if not runs:
-        print("no active queue runs")
-        return 0
-    headers = ["run", "points", "shards", "done", "active leases",
-               "expired leases", "fingerprint"]
-    rows = [[r["run"], r["points"], r["shards"], r["done"],
-             r["active_leases"], r["expired_leases"], r["fingerprint"]]
-            for r in runs]
-    print(format_table(headers, rows, title="work queue"))
-    return 0
-
-
-def _cmd_queue_tail(args: argparse.Namespace) -> int:
-    from repro.obs.telemetry import (follow_telemetry, format_event,
-                                     read_telemetry, telemetry_path)
-
-    store = _require_store(args)
-    backlog = read_telemetry(store.root, last=args.lines)
-    if not backlog and not args.follow:
-        print(f"no telemetry at {telemetry_path(store.root)}")
-        return 0
-    for record in backlog:
-        print(format_event(record))
-    if not args.follow:
-        return 0
-    try:
-        for record in follow_telemetry(store.root, poll_s=args.poll_s,
-                                       stop_after_s=args.max_s,
-                                       start_at_end=True):
-            print(format_event(record), flush=True)
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _cmd_queue(args: argparse.Namespace) -> int:
-    return {
-        "status": _cmd_queue_status,
-        "tail": _cmd_queue_tail,
-    }[args.queue_command](args)
 
 
 #: Schema tag of the JSON file ``trace run`` writes.
@@ -1345,17 +1162,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.api.perf import main as perf_main
         return perf_main(arg_list[1:])
     args = _build_parser().parse_args(arg_list)
-    _configure_logging(args.log_level, default=_log_default(args))
+    _configure_logging(args.log_level)
     if args.command == "list":
         return _cmd_list()
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "store":
         return _cmd_store(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
-    if args.command == "queue":
-        return _cmd_queue(args)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "fuzz":

@@ -63,8 +63,8 @@ class Runner:
         #: Misses served by the persistent store since construction.
         self.store_hits = 0
         #: Failed settled points later found completed in the store (a
-        #: concurrent worker or session finished them after our batch
-        #: gave up on them).
+        #: timed-out pool child or another process wrote them after our
+        #: batch gave up on them).
         self.reconciled = 0
 
     # ------------------------------------------------------------------ #
@@ -140,26 +140,21 @@ class Runner:
         failed: Dict[str, str] = {}
         if missing:
             self.dispatch_count += len(missing)
-            specs = list(missing.values())
-            if self.store is not None:
-                outcomes = self.backend.run_all_settled(
-                    specs, store=self.store, trace=trace,
-                    progress=backend_progress)
-            else:
-                outcomes = self.backend.run_all_settled(
-                    specs, trace=trace, progress=backend_progress)
+            outcomes = self.backend.run_all_settled(
+                list(missing.values()), store=self.store, trace=trace,
+                progress=backend_progress)
             for h, outcome in zip(missing.keys(), outcomes):
                 if isinstance(outcome, ExperimentFailure):
                     failed[h] = outcome.error
                 else:
                     memo[h] = outcome
             if failed and self.store is not None:
-                # Reconcile against the store before reporting failure:
-                # with several coordinators/workers chewing overlapping
-                # campaigns, a point that was lost or timed out *here*
-                # may have been completed (and persisted) by someone
-                # else in the meantime.  Deterministic failures are
-                # never in the store, so this only rescues transients.
+                # Reconcile against the store before reporting failure.
+                # A pool child that hit --timeout-s may have finished its
+                # write-through before the pool was torn down, and
+                # another process sharing the store may have written the
+                # point meanwhile.  A spec that fails to simulate never
+                # reaches the store, so this rescues only such points.
                 rescued = self.store.get_many(list(failed))
                 for h, result in rescued.items():
                     memo[h] = result

@@ -87,7 +87,6 @@ __all__ = [
     "atomic_write_json",
     "code_fingerprint",
     "read_json",
-    "try_create_json",
 ]
 
 logger = logging.getLogger("repro.store")
@@ -144,11 +143,11 @@ def code_fingerprint() -> str:
 # ---------------------------------------------------------------------- #
 # lock-free filesystem primitives
 #
-# The store and the distributed work queue (repro.api.workqueue) share
-# one concurrency discipline: JSON documents published by atomic rename,
-# claims taken by atomic exclusive create, tolerant reads that treat any
-# defect as absence.  No locks, no fsync ordering assumptions beyond
-# same-directory rename atomicity.
+# The store and the fuzz corpus (repro.fuzz.corpus) publish JSON
+# documents by atomic rename and read them tolerantly, so any defect
+# reads as absence.  A campaign killed mid-write leaves at worst a stray
+# temporary file, never a torn entry at a published path.  No locks, no
+# fsync ordering assumptions beyond same-directory rename atomicity.
 # ---------------------------------------------------------------------- #
 
 
@@ -190,25 +189,6 @@ def atomic_write_json(path: str, data: dict) -> str:
             pass
         raise
     return path
-
-
-def try_create_json(path: str, data: dict) -> bool:
-    """Atomically create ``path`` with ``data`` iff it does not exist.
-
-    This is the claim primitive of the work queue's leases: exactly one
-    of N racing processes wins the ``O_CREAT | O_EXCL`` create; the rest
-    see ``False`` and move on.  The payload is small enough that the
-    single write is effectively atomic for our tolerant readers.
-    """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-    except FileExistsError:
-        return False
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return True
 
 
 class StoreEntry(NamedTuple):
@@ -292,7 +272,7 @@ class ResultStore:
 
         A well-formed entry whose result payload fails its recorded
         sha256 is *corrupt* (bit rot, a crashed writer that somehow
-        published, a fault-injected worker): the read self-heals by
+        published, a hand edit): the read self-heals by
         moving the file to ``<root>/quarantine/`` so the next write-back
         repairs the address, and returns a miss.
         """
@@ -357,8 +337,9 @@ class ResultStore:
         """Every entry file path on disk (cheap: no parsing).
 
         Only the two-hex-digit shard directories are entry shards; the
-        ``quarantine/`` tree and any work-queue state living under the
-        same root (``queue/``) are not addressable entries.
+        ``quarantine/`` tree and any other directory under the same root
+        (such as the fuzz corpus under ``fuzz/``) are not addressable
+        entries.
         """
         if not os.path.isdir(self.root):
             return

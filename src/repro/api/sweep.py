@@ -297,19 +297,6 @@ class Sweep:
         )
 
 
-def shard_slices(count: int, shard_size: int) -> List[slice]:
-    """Contiguous point-range shards covering ``count`` points in order.
-
-    The distributed work queue publishes one task per slice; contiguity
-    keeps a shard's points adjacent in campaign order, so a re-dispatch
-    re-offers an intact range, never a scatter.
-    """
-    if shard_size < 1:
-        raise ValueError("shard_size must be >= 1")
-    return [slice(start, min(start + shard_size, count))
-            for start in range(0, count, shard_size)]
-
-
 @dataclass(frozen=True)
 class Pivot:
     """One figure's shape: a value pivoted over an x axis, split into
@@ -902,14 +889,7 @@ def _paper_grid_campaign() -> Campaign:
             "backend dispatches and reproduces this report "
             "byte-for-byte); the `geometry-ablation` campaign extends "
             "the same workflow to the Figs. 11-13 LLC-size and PIM-"
-            "geometry axes.  The weekly full-sweep CI job runs this "
-            "grid through the fault-tolerant work queue (`repro-bench "
-            "worker --store DIR` fleets plus `sweep run paper-grid "
-            "--distributed --store DIR`): leased point-range tasks, "
-            "straggler re-dispatch and retry with backoff make the "
-            "digest independent of worker crashes, and a lone "
-            "coordinator degrades to local execution, so this report "
-            "is reproducible on one machine or forty."
+            "geometry axes."
         ),
         sweeps=(ycsb, tpch, skew),
         pivots=(

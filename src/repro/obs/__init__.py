@@ -1,4 +1,4 @@
-"""Observability layer: event tracing, stall attribution, telemetry.
+"""Observability layer: event tracing, stall attribution, logging.
 
 The simulator's results describe *what* happened; this package records
 *where the cycles went*.  Everything here is opt-in and strictly
@@ -13,9 +13,6 @@ tracing off or on (``tests/obs/test_neutrality.py`` gates this).
 * :mod:`repro.obs.chrome` -- export a trace dump as Chrome trace-event
   JSON (components as tracks, requests as flow events; loads in
   Perfetto or ``chrome://tracing``).
-* :mod:`repro.obs.telemetry` -- structured JSONL telemetry from
-  distributed workers/coordinators, consumed by ``repro-bench queue
-  tail``.
 * :mod:`repro.obs.logconf` -- the ``repro`` logger hierarchy behind
   ``--log-level`` / ``$REPRO_LOG``.
 """

@@ -1,16 +1,13 @@
 """The ``repro`` logger hierarchy (``--log-level`` / ``$REPRO_LOG``).
 
-Every subsystem logs under the ``repro`` namespace
-(``repro.store``, ``repro.workqueue``, ``repro.obs``, ...).  This module
-owns the single handler on the ``repro`` root logger so fleets produce
-one parseable line format on stderr::
+Every subsystem logs under the ``repro`` namespace (the result store as
+``repro.store``).  This module owns the single handler on the ``repro``
+root logger, so every record has one parseable line format on stderr::
 
-    2026-08-08T12:00:01 repro.workqueue WARNING lease on shard 0003 ...
+    2026-08-08T12:00:01 repro.store WARNING store: quarantined corrupt ...
 
 Level resolution, weakest to strongest: the default (``WARNING``), the
 ``$REPRO_LOG`` environment variable, the ``--log-level`` CLI flag.
-Distributed entry points (``worker``, ``sweep run --distributed``)
-default to ``INFO`` so queue supervision stays visible without a flag.
 
 :func:`configure_logging` is idempotent -- repeated calls retune the
 level instead of stacking handlers -- and never touches the *root*
@@ -27,7 +24,7 @@ from typing import Optional
 #: Environment variable naming the default log level.
 LOG_ENV = "REPRO_LOG"
 
-#: The fleet-parseable line format (ISO-ish timestamp, no milliseconds).
+#: The parseable line format (ISO-ish timestamp, no milliseconds).
 LOG_FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
 LOG_DATEFMT = "%Y-%m-%dT%H:%M:%S"
 
@@ -63,13 +60,12 @@ def resolve_level(flag: Optional[str] = None,
     return getattr(logging, name.upper())
 
 
-def configure_logging(flag: Optional[str] = None,
-                      default: str = "warning") -> logging.Logger:
+def configure_logging(flag: Optional[str] = None) -> logging.Logger:
     """Install (or retune) the handler on the ``repro`` logger.
 
     Returns the configured logger.  Idempotent: one handler, ever.
     """
-    level = resolve_level(flag, default)
+    level = resolve_level(flag)
     logger = logging.getLogger("repro")
     logger.setLevel(level)
     handler = next(

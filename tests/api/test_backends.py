@@ -59,9 +59,9 @@ def test_process_pool_rejects_bad_job_count():
         ProcessPoolBackend(jobs=0)
 
 
-def test_pool_timeout_settles_hung_point_as_retryable(monkeypatch):
-    """A point that hangs past timeout_s settles as a retryable failure
-    instead of wedging the shard; the other points still complete.
+def test_pool_timeout_settles_hung_point_as_failure(monkeypatch):
+    """A point that hangs past timeout_s settles as a failure instead of
+    wedging the batch; the other points still complete.
     (The pool forks, so children inherit the monkeypatched executor.)"""
     import repro.api.backends as backends
 
@@ -82,7 +82,6 @@ def test_pool_timeout_settles_hung_point_as_retryable(monkeypatch):
     assert not isinstance(settled[0], ExperimentFailure)
     assert settled[0].run_time == execute_experiment(fast).run_time
     assert isinstance(settled[1], ExperimentFailure)
-    assert settled[1].retryable  # environmental, so the queue may retry
     assert "per-point timeout" in settled[1].error
 
 
@@ -96,8 +95,6 @@ def test_pool_timeout_validation_and_backend_for():
     timed = backend_for(1, timeout_s=5.0)
     assert isinstance(timed, ProcessPoolBackend)
     assert timed.timeout_s == 5.0
-    # failures default to the deterministic (never-retried) kind
-    assert ExperimentFailure("boom").retryable is False
 
 
 def test_experiments_and_results_are_picklable():

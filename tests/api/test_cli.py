@@ -167,38 +167,6 @@ def test_perf_update_gives_no_speedup_across_different_simulations(
     assert "speedup_vs_baseline" not in updated["moved"]
 
 
-def test_worker_once_on_an_empty_queue_exits_clean(tmp_path, capsys):
-    assert main(["worker", "--store", str(tmp_path), "--once"]) == 0
-    assert "0 tasks completed" in capsys.readouterr().out
-
-
-def test_worker_requires_a_store(monkeypatch):
-    monkeypatch.delenv("REPRO_STORE", raising=False)
-    with pytest.raises(SystemExit, match="no store"):
-        main(["worker", "--once"])
-
-
-def test_queue_status_empty_and_populated(tmp_path, capsys):
-    assert main(["queue", "status", "--store", str(tmp_path)]) == 0
-    assert "no active queue runs" in capsys.readouterr().out
-
-    from repro.api import Experiment, ResultStore
-    from repro.api.workqueue import _publish_run
-
-    exp = Experiment.from_dict({
-        "workload": "litmus", "params": {"rounds": 2, "threads": 2},
-        "config": {"preset": "scaled", "num_scopes": 2}})
-    _publish_run(ResultStore(str(tmp_path)), [exp], 1, 30.0)
-    assert main(["queue", "status", "--store", str(tmp_path)]) == 0
-    assert "work queue" in capsys.readouterr().out
-
-
-def test_sweep_run_distributed_requires_a_store(monkeypatch):
-    monkeypatch.delenv("REPRO_STORE", raising=False)
-    with pytest.raises(SystemExit, match="--distributed needs a store"):
-        main(["sweep", "run", "smoke", "--distributed"])
-
-
 def test_store_prune_by_fingerprint_cli(tmp_path, capsys):
     from repro.api import Experiment, ResultStore
     from repro.api.backends import execute_experiment
@@ -216,14 +184,6 @@ def test_store_prune_by_fingerprint_cli(tmp_path, capsys):
     assert main(["store", "prune", "--store", str(tmp_path),
                  "--fingerprint", "old-kernel"]) == 0
     assert "pruned 1 entries" in capsys.readouterr().out
-
-
-def test_queue_status_json_is_machine_readable(tmp_path, capsys):
-    import json
-
-    assert main(["queue", "status", "--store", str(tmp_path),
-                 "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == []
 
 
 def test_store_verify_lists_quarantined_entries(tmp_path, capsys):
@@ -292,7 +252,7 @@ def test_fuzz_cli_weakened_self_test_exits_nonzero(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- #
-# observability surface: trace run/report/export, queue tail, progress
+# observability surface: trace run/report/export, progress
 # --------------------------------------------------------------------- #
 
 def test_trace_run_report_export_round_trip(tmp_path, capsys):
@@ -394,32 +354,6 @@ def test_fmt_eta_ranges():
     assert _fmt_eta(12) == "12s"
     assert _fmt_eta(185) == "3m05s"
     assert _fmt_eta(3720) == "1h02m"
-
-
-def test_queue_tail_empty_then_populated(tmp_path, capsys):
-    from repro.obs.telemetry import TelemetryWriter
-
-    store = str(tmp_path)
-    assert main(["queue", "tail", "--store", store]) == 0
-    assert "no telemetry" in capsys.readouterr().out
-
-    writer = TelemetryWriter(store, "w-1")
-    writer.emit("claim", shard="0000", points=4)
-    writer.emit("finish", shard="0000")
-    writer.close()
-    assert main(["queue", "tail", "--store", store, "--lines", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "finish" in out and "claim" not in out  # last N only
-
-
-def test_queue_tail_follow_bounded(tmp_path, capsys):
-    from repro.obs.telemetry import TelemetryWriter
-
-    store = str(tmp_path)
-    TelemetryWriter(store, "w").emit("publish", run="r1")
-    assert main(["queue", "tail", "--store", store, "--follow",
-                 "--poll-s", "0.01", "--max-s", "0.05"]) == 0
-    assert "publish" in capsys.readouterr().out
 
 
 def test_log_level_flag_tunes_the_repro_logger(capsys):

@@ -5,7 +5,8 @@ from typing import List, Sequence
 
 import pytest
 
-from repro.api import Experiment, Runner, SerialBackend
+from repro.api import Experiment, ResultStore, Runner, SerialBackend
+from repro.api.backends import ExperimentFailure, execute_experiment
 from repro.core.models import ConsistencyModel
 from repro.sim.config import SystemConfig
 from repro.system.simulation import run_workload
@@ -188,3 +189,45 @@ def test_run_settled_trace_overlay_does_not_fork_the_cache():
     assert err is None
     assert runner.dispatch_count == 1  # no second simulation
     assert cached is traced
+
+
+class _FailingBackend(SerialBackend):
+    """Settles every point as failed.  For the points in ``persisted``
+    it first writes a real result to the store, like a pool child that
+    finished its write-through just before its timeout fired."""
+
+    def __init__(self, persisted) -> None:
+        self.persisted = set(persisted)
+        self.written = {}
+
+    def run_all_settled(self, experiments: Sequence[Experiment],
+                        store=None, **kwargs):
+        settled = []
+        for e in experiments:
+            h = e.spec_hash()
+            if h in self.persisted:
+                self.written[h] = execute_experiment(e)
+                store.put(h, self.written[h], e)
+            settled.append(ExperimentFailure(f"point {h} timed out"))
+        return settled
+
+
+def test_run_settled_reconciles_failures_found_in_the_store(tmp_path):
+    """A point that settled as failed but is in the store reports the
+    stored result; a failed point the store lacks stays failed."""
+    rescued = _experiment(ConsistencyModel.ATOMIC)
+    lost = _experiment(ConsistencyModel.NAIVE)
+    backend = _FailingBackend({rescued.spec_hash()})
+    runner = Runner(backend=backend, store=ResultStore(str(tmp_path)))
+
+    (result, error), (missing, failure) = runner.run_settled([rescued, lost])
+    assert error is None
+    assert result.stats == backend.written[rescued.spec_hash()].stats
+    assert missing is None
+    assert failure == f"point {lost.spec_hash()} timed out"
+    assert runner.reconciled == 1
+    assert runner.dispatch_count == 2
+
+    # the rescued point entered the memory cache like any success
+    assert runner.run_settled([rescued]) == [(result, None)]
+    assert runner.dispatch_count == 2

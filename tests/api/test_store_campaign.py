@@ -9,9 +9,16 @@ sessions would).
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from typing import List, Sequence
 
 import pytest
+
+import repro
 
 from repro.api import (
     Axis,
@@ -272,3 +279,111 @@ def test_geometry_ablation_campaign_registration():
     clone = Campaign.from_dict(json.loads(json.dumps(campaign.to_dict())))
     assert [p.experiment for p in clone.points()] == \
         [p.experiment for p in points]
+
+
+# --------------------------------------------------------------------- #
+# crash safety of a single-machine campaign
+# --------------------------------------------------------------------- #
+
+
+def _crash_campaign() -> Campaign:
+    """Six-model litmus plus two TPC-H q6 points at scale 1/256."""
+    return Campaign(
+        name="crash-resume",
+        title="crash-resume coverage",
+        description="six models + tpch + litmus at smoke size",
+        sweeps=(
+            Sweep(name="litmus",
+                  base={"workload": "litmus",
+                        "params": {"rounds": 2, "threads": 2},
+                        "config": {"preset": "scaled", "num_scopes": 2},
+                        "max_events": 10_000_000},
+                  axes=(Axis("model", SIX_MODELS),)),
+            Sweep(name="tpch",
+                  base={"workload": "tpch",
+                        "params": {"query": "q6", "scale": 1 / 256,
+                                   "runs": 1},
+                        "config": {"preset": "scaled"},
+                        "max_events": 50_000_000},
+                  axes=(Axis("model", ("naive", "atomic")),)),
+        ),
+    )
+
+
+def test_sigkill_pool_campaign_mid_run_resumes_byte_identical(tmp_path):
+    """SIGKILL a `sweep run --jobs 2` process group mid-campaign: the
+    points its pool workers wrote through survive intact, and a rerun
+    against the same store hydrates them, simulates only the rest and
+    reproduces the serial digest."""
+    campaign = _crash_campaign()
+    points = len(campaign.points())
+    campaign_file = tmp_path / "crash-resume.json"
+    campaign_file.write_text(json.dumps(campaign.to_dict()))
+    store_dir = str(tmp_path / "store")
+    store = ResultStore(store_dir)
+
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    # A new session makes the CLI process the leader of a process group
+    # that also holds its forked pool workers, so one killpg takes down
+    # the whole campaign at once, like a machine losing power.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.api.cli", "sweep", "run",
+         str(campaign_file), "--jobs", "2", "--store", store_dir,
+         "--no-progress"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    try:
+        # Points take milliseconds each, so poll tightly: the kill must
+        # land while most of the campaign is still to run.
+        deadline = time.time() + 120.0
+        while sum(1 for _ in store.paths()) < 2:
+            if proc.poll() is not None or time.time() > deadline:
+                pytest.fail("the campaign never wrote two entries")
+            time.sleep(0.002)
+        os.killpg(proc.pid, signal.SIGKILL)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+    survived = sum(1 for _ in store.paths())
+    assert survived < points, (
+        f"the kill landed after the campaign ended ({survived} entries)")
+
+    runner = Runner(store=store)
+    resumed = run_campaign(campaign, runner=runner)
+    assert resumed.failed_points == []
+    assert runner.store_hits + runner.dispatch_count == points
+    serial = run_campaign(campaign, runner=Runner())
+    assert resumed.digest() == serial.digest()
+    assert store.verify() == []
+
+
+def test_corrupt_entry_is_quarantined_and_resimulated(tmp_path, capsys):
+    """An entry whose payload no longer matches its recorded sha256 is
+    quarantined on read and re-simulated: the rerun dispatches exactly
+    that point, writes it back and reproduces the digest."""
+    from repro.api.cli import main
+
+    store_dir = str(tmp_path / "store")
+    assert main(["sweep", "run", "smoke", "--store", store_dir]) == 0
+    first = capsys.readouterr().out
+    digest = next(line for line in first.splitlines()
+                  if line.startswith("digest: "))
+
+    store = ResultStore(store_dir)
+    path = next(iter(store.paths()))
+    with open(path, encoding="utf-8") as handle:
+        entry = json.load(handle)
+    entry["result"]["run_time"] += 1  # the recorded sha256 is now stale
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(entry, handle)
+
+    assert main(["sweep", "run", "smoke", "--store", store_dir]) == 0
+    second = capsys.readouterr().out
+    assert "backend dispatches: 1" in second
+    assert digest in second.splitlines()
+    assert store.stats()["quarantined"] == 1
+    assert store.verify() == []  # the write-back repaired the address

@@ -28,7 +28,7 @@ def test_snapshot_covers_every_subcommand():
     for section in ("## `repro-bench`", "## `repro-bench sweep run`",
                     "## `repro-bench perf`", "## `repro-bench fuzz run`",
                     "## `repro-bench store prune`",
-                    "## `repro-bench worker`"):
+                    "## `repro-bench store verify`"):
         assert section in snapshot, f"help snapshot lost {section}"
 
 

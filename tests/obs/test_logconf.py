@@ -53,8 +53,8 @@ def test_configure_is_idempotent_and_scoped():
 
 def test_child_loggers_inherit_the_level():
     configure_logging("debug")
-    assert logging.getLogger("repro.api.workqueue").isEnabledFor(
+    assert logging.getLogger("repro.store").isEnabledFor(
         logging.DEBUG)
     configure_logging("error")
-    assert not logging.getLogger("repro.api.workqueue").isEnabledFor(
+    assert not logging.getLogger("repro.store").isEnabledFor(
         logging.WARNING)
