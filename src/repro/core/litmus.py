@@ -31,8 +31,8 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -95,22 +95,15 @@ class LitmusProgram:
         return tuple(sorted(self.scope_addresses))
 
 
-class _State:
+class _State(NamedTuple):
     """One abstract machine state (hashable for visited-set pruning)."""
 
-    __slots__ = ("pcs", "memory", "cache", "dirty", "reads", "prefetches")
-
-    def __init__(self, pcs, memory, cache, dirty, reads, prefetches):
-        self.pcs = pcs            # tuple of per-thread program counters
-        self.memory = memory      # tuple of (addr, value), sorted
-        self.cache = cache        # tuple of (addr, value), sorted
-        self.dirty = dirty        # frozenset of dirty cached addrs
-        self.reads = reads        # tuple of (thread, index, value)
-        self.prefetches = prefetches  # prefetch budget left
-
-    def key(self):
-        return (self.pcs, self.memory, self.cache, self.dirty,
-                self.reads, self.prefetches)
+    pcs: tuple          # per-thread program counters
+    memory: tuple       # (addr, value) pairs, sorted
+    cache: tuple        # (addr, value) pairs, sorted
+    dirty: frozenset    # dirty cached addrs
+    reads: tuple        # (thread, index, value) triples, sorted
+    prefetches: int     # prefetch budget left
 
 
 class LitmusExecutor:
@@ -155,10 +148,9 @@ class LitmusExecutor:
         stack = [initial]
         while stack:
             state = stack.pop()
-            key = state.key()
-            if key in visited:
+            if state in visited:
                 continue
-            visited.add(key)
+            visited.add(state)
             successors = list(self._successors(state))
             if not successors:
                 results.add(tuple(sorted(state.reads)))
@@ -183,7 +175,7 @@ class LitmusExecutor:
         for tid, pc in enumerate(state.pcs):
             thread = self.program.threads[tid]
             if pc < len(thread):
-                yield self._step_thread(state, tid, thread[pc])
+                yield self._step(state, tid, thread[pc], pc + 1)
         # Spontaneous prefetch (another thread / hardware prefetcher
         # pulling a line into the cache between any two steps).
         yield from self._prefetch_successors(state)
@@ -192,12 +184,10 @@ class LitmusExecutor:
         if state.prefetches <= 0:
             return
         cache = dict(state.cache)
+        memory = dict(state.memory)
         for addr in sorted(self.program.prefetchable):
-            if addr in cache:
+            if addr in cache or self._bypasses_cache(addr):
                 continue
-            if self.uncacheable and addr in self.program.scope_addresses:
-                continue
-            memory = dict(state.memory)
             new_cache = dict(cache)
             new_cache[addr] = memory.get(addr, 0)
             yield _State(
@@ -258,14 +248,14 @@ class LitmusExecutor:
             raise ValueError(f"litmus cannot execute {kind}")
         return reads
 
-    def _step_thread(self, state: _State, tid: int, op: MemOp) -> _State:
+    def _step(self, state: _State, tid: int, op: MemOp, pc: int) -> _State:
+        """``state`` after thread ``tid`` performs ``op``; its entry in
+        ``pcs`` becomes ``pc``."""
         memory = dict(state.memory)
         cache = dict(state.cache)
         dirty = set(state.dirty)
         reads = self._exec_op(memory, cache, dirty, state.reads, tid, op)
-        pcs = tuple(
-            pc + 1 if t == tid else pc for t, pc in enumerate(state.pcs)
-        )
+        pcs = state.pcs[:tid] + (pc,) + state.pcs[tid + 1:]
         return _State(pcs, _freeze(memory), _freeze(cache),
                       frozenset(dirty), reads, state.prefetches)
 
@@ -299,6 +289,15 @@ class ModelExecutor(LitmusExecutor):
         )
         self.model = model
         self.props = props
+        # The reorder table: bit ``i`` of ``blockers[tid][j]`` is set when
+        # op ``j`` may not pass earlier op ``i``; ``j`` may issue once all
+        # of its blockers have.
+        self.blockers = tuple(
+            tuple(sum(1 << i for i in range(j)
+                      if not props.may_reorder(thread[i], op))
+                  for j, op in enumerate(thread))
+            for thread in program.threads
+        )
 
     # In ModelExecutor states, ``pcs`` holds one *issued-set bitmask*
     # per thread instead of a program counter: bit ``j`` set means the
@@ -307,27 +306,10 @@ class ModelExecutor(LitmusExecutor):
     def _successors(self, state: _State):
         for tid, mask in enumerate(state.pcs):
             thread = self.program.threads[tid]
-            for j, op in enumerate(thread):
-                if mask >> j & 1:
-                    continue
-                if all(
-                    self.props.may_reorder(thread[i], op)
-                    for i in range(j) if not (mask >> i & 1)
-                ):
-                    yield self._issue(state, tid, j, op)
+            for j, blockers in enumerate(self.blockers[tid]):
+                if not (mask >> j & 1 or blockers & ~mask):
+                    yield self._step(state, tid, thread[j], mask | 1 << j)
         yield from self._prefetch_successors(state)
-
-    def _issue(self, state: _State, tid: int, index: int, op: MemOp) -> _State:
-        memory = dict(state.memory)
-        cache = dict(state.cache)
-        dirty = set(state.dirty)
-        reads = self._exec_op(memory, cache, dirty, state.reads, tid, op)
-        masks = tuple(
-            mask | (1 << index) if t == tid else mask
-            for t, mask in enumerate(state.pcs)
-        )
-        return _State(masks, _freeze(memory), _freeze(cache),
-                      frozenset(dirty), reads, state.prefetches)
 
 
 def _freeze(d: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:

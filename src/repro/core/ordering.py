@@ -11,20 +11,22 @@ from concrete executions.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 
 class HappensBefore:
     """A directed graph of happen-before edges over arbitrary event keys."""
 
     def __init__(self) -> None:
-        self._succ: Dict[Hashable, Set[Hashable]] = {}
+        # Insertion-ordered successor dicts, not sets: the cycle
+        # find_cycle reports must not depend on the string hash seed.
+        self._succ: Dict[Hashable, Dict[Hashable, None]] = {}
         self._labels: Dict[Tuple[Hashable, Hashable], str] = {}
 
     def add(self, before: Hashable, after: Hashable, label: str = "") -> None:
         """Record that ``before`` happens before ``after``."""
-        self._succ.setdefault(before, set()).add(after)
-        self._succ.setdefault(after, set())
+        self._succ.setdefault(before, {})[after] = None
+        self._succ.setdefault(after, {})
         if label:
             self._labels[(before, after)] = label
 

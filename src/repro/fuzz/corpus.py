@@ -7,11 +7,12 @@ same arrangement the work queue uses for ``queue/``:
 
 * ``fuzz/corpus/<digest>.json`` -- one entry per surviving program: the
   full program description plus the outcome-set fingerprints of every
-  executor leg (:func:`repro.fuzz.oracle.fingerprints`) and, when the
-  timing leg ran, the per-model stale-read counts.  ``repro-bench fuzz
-  replay`` recomputes both and diffs: the corpus is a regression suite
-  that ratchets the semantics of the model checkers *and* the timing
-  stack.
+  executor leg (:func:`repro.fuzz.oracle.fingerprints`, digests of the
+  outcome sets the program's checks searched) and, when the timing leg
+  ran, the per-model stale-read counts.  ``repro-bench fuzz replay``
+  recomputes both from scratch and diffs: the corpus is a regression
+  suite that ratchets the semantics of the model checkers *and* the
+  timing stack.
 * ``fuzz/repros/<digest>.json`` -- self-describing minimal repros the
   shrinker produced from invariant violations: the shrunk program, the
   violation (outcome, happens-before cycle), shrink provenance and the
@@ -49,20 +50,24 @@ FUZZ_DIR = "fuzz"
 
 def corpus_entry(program: FuzzProgram,
                  timing: Optional[Dict[str, int]] = None,
-                 seed: Optional[int] = None) -> Dict[str, object]:
-    """The corpus document for one surviving program."""
+                 seed: Optional[int] = None,
+                 memo: Optional[oracle.OutcomeSets] = None
+                 ) -> Dict[str, object]:
+    """The corpus document for one surviving program; ``memo`` holds
+    the outcome sets its checks searched."""
     return {
         "schema": CORPUS_SCHEMA,
         "digest": program.digest(),
         "seed": program.seed if seed is None else seed,
         "program": program.to_dict(),
-        "fingerprints": oracle.fingerprints(program),
+        "fingerprints": oracle.fingerprints(program, memo),
         "timing_stale_reads": timing,
     }
 
 
 def replay_entry(entry: Dict[str, object]) -> List[str]:
-    """Recompute one corpus entry's abstract fingerprints and diff.
+    """Search one corpus entry's outcome sets afresh and diff their
+    fingerprints against the recorded ones.
 
     Returns human-readable mismatch lines (empty means the entry still
     reproduces).  Timing counts are replayed by the harness, which owns

@@ -13,9 +13,10 @@ and the timing experiments are deterministic simulations -- so the same
 seed produces byte-identical reports on the Serial and ProcessPool
 backends, on any machine.  CI asserts exactly that.
 
-:func:`replay_corpus` is the regression direction: recompute every
-corpus entry's abstract outcome fingerprints and timing stale counts
-and diff against what was recorded when the entry was admitted.
+:func:`replay_corpus` is the regression direction: search every corpus
+entry's abstract outcome sets afresh, re-simulate its timing stale
+counts, and diff both against what was recorded when the entry was
+admitted.
 """
 
 from __future__ import annotations
@@ -210,6 +211,9 @@ def fuzz_run(seed: int, programs: int = 200,
     flight_dumps: List[str] = []
     controls = {model.value: 0 for model in CONTROL_MODELS}
     clean: List[FuzzProgram] = []
+    # One outcome-set memo per program: the checks, the controls and
+    # the corpus fingerprints share its searches.
+    memos: Dict[str, oracle.OutcomeSets] = {}
 
     def record(program: FuzzProgram,
                violations: List[oracle.Violation],
@@ -238,9 +242,10 @@ def fuzz_run(seed: int, programs: int = 200,
                     f"{dump['digest']}-{dump['model']}")
 
     for program in batch:
-        violations = oracle.check_program(program, weaken)
+        memo = memos[program.digest()] = oracle.OutcomeSets(program)
+        violations = oracle.check_program(program, weaken, memo)
         for model in CONTROL_MODELS:
-            if oracle.check_coherence(program, model):
+            if oracle.check_coherence(program, model, memo=memo):
                 controls[model.value] += 1
         if violations:
             record(program, violations, rounds)
@@ -292,7 +297,7 @@ def fuzz_run(seed: int, programs: int = 200,
             fuzz_store.add(corpus_entry(
                 program,
                 timing=per_program_timing.get(program.digest()),
-                seed=seed))
+                seed=seed, memo=memos[program.digest()]))
             corpus_added += 1
         for doc in repro_docs:
             fuzz_store.write_repro(doc)

@@ -31,6 +31,10 @@ of :mod:`repro.core.litmus`:
 A deliberately broken mechanism is available behind ``weaken=
 "no-atomic-flush"`` (the proposed models lose their atomic scope flush),
 which makes invariant 2 fail and exercises the shrinker end to end.
+
+The checks and the corpus :func:`fingerprints` read their outcome sets
+from one :class:`OutcomeSets` per program, which searches each distinct
+executor input once.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.litmus import LitmusExecutor, ModelExecutor
 from repro.core.memops import OpKind
@@ -49,13 +53,13 @@ from repro.fuzz.program import VERSION_BUMP, FuzzProgram, Rendering
 __all__ = [
     "LATTICE",
     "WEAKEN_CHOICES",
+    "OutcomeSets",
     "Violation",
     "check_coherence",
     "check_lattice",
     "check_program",
     "fingerprints",
     "happens_before",
-    "inorder_executor",
     "outcomes_digest",
 ]
 
@@ -95,24 +99,50 @@ class Violation:
 
 
 # ---------------------------------------------------------------------- #
-# executors
+# outcome sets, one search per distinct executor input
 # ---------------------------------------------------------------------- #
 
 
-def inorder_executor(program: FuzzProgram, model: ConsistencyModel,
-                     weaken: Optional[str] = None
-                     ) -> Tuple[LitmusExecutor, Rendering]:
-    """The in-order abstract machine under ``model``'s mechanism."""
-    rendering = program.rendering(model)
-    props = properties_of(model)
-    flush_atomic = props.flushes_at_llc and weaken != "no-atomic-flush"
-    executor = LitmusExecutor(
-        rendering.program,
-        flush_atomic=flush_atomic,
-        prefetch_budget=program.prefetch_budget,
-        uncacheable=model is ConsistencyModel.UNCACHEABLE,
-    )
-    return executor, rendering
+class OutcomeSets:
+    """One program's reachable-outcome sets, searched on first use.
+
+    Keys are what each executor takes as input: for an in-order leg the
+    rendered threads, ``flush_atomic`` and ``uncacheable``; for a reorder
+    leg the model.  Legs with equal inputs share one search, e.g.
+    in-order ``store`` and ``scope`` with ``atomic``.  An instance serves
+    one program within one call and is then dropped.
+    """
+
+    def __init__(self, program: FuzzProgram) -> None:
+        self.program = program
+        self._inorder: Dict[tuple, FrozenSet[Outcome]] = {}
+        self._reorder: Dict[ConsistencyModel, FrozenSet[Outcome]] = {}
+
+    def inorder(self, model: ConsistencyModel, weaken: Optional[str] = None
+                ) -> Tuple[FrozenSet[Outcome], Rendering]:
+        """The in-order abstract machine under ``model``'s mechanism."""
+        rendering = self.program.rendering(model)
+        flush_atomic = (properties_of(model).flushes_at_llc
+                        and weaken != "no-atomic-flush")
+        uncacheable = model is ConsistencyModel.UNCACHEABLE
+        key = (rendering.threads, flush_atomic, uncacheable)
+        if key not in self._inorder:
+            self._inorder[key] = frozenset(LitmusExecutor(
+                rendering.program,
+                flush_atomic=flush_atomic,
+                prefetch_budget=self.program.prefetch_budget,
+                uncacheable=uncacheable,
+            ).outcomes())
+        return self._inorder[key], rendering
+
+    def reorder(self, model: ConsistencyModel) -> FrozenSet[Outcome]:
+        """``model``'s Table-I reordering machine on the bare rendering."""
+        if model not in self._reorder:
+            self._reorder[model] = frozenset(ModelExecutor(
+                self.program.rendering(None).program, model,
+                prefetch_budget=self.program.prefetch_budget,
+            ).outcomes())
+        return self._reorder[model]
 
 
 # ---------------------------------------------------------------------- #
@@ -183,16 +213,19 @@ def happens_before(rendering: Rendering, outcome: Outcome
 
 
 def check_coherence(program: FuzzProgram, model: ConsistencyModel,
-                    weaken: Optional[str] = None) -> List[Violation]:
+                    weaken: Optional[str] = None,
+                    memo: Optional[OutcomeSets] = None) -> List[Violation]:
     """Invariant 2 on one model's in-order mechanism.
 
     Empty for every correctness-guaranteeing model (unless ``weaken``
     breaks the mechanism); non-empty results against Naive/SW-Flush are
-    the *expected* control signal, not failures.
+    the *expected* control signal, not failures.  ``memo`` shares
+    outcome sets with the program's other checks.
     """
-    executor, rendering = inorder_executor(program, model, weaken)
+    memo = memo or OutcomeSets(program)
+    outcomes, rendering = memo.inorder(model, weaken)
     violations: List[Violation] = []
-    for outcome in sorted(executor.outcomes()):
+    for outcome in sorted(outcomes):
         hb, aliens = happens_before(rendering, outcome)
         if aliens:
             violations.append(Violation(
@@ -220,15 +253,11 @@ def check_coherence(program: FuzzProgram, model: ConsistencyModel,
 # ---------------------------------------------------------------------- #
 
 
-def check_lattice(program: FuzzProgram) -> List[Violation]:
+def check_lattice(program: FuzzProgram,
+                  memo: Optional[OutcomeSets] = None) -> List[Violation]:
     """Invariant 1: nested outcome sets along the strength lattice."""
-    rendering = program.rendering(None)
-    outcome_sets = {
-        model: ModelExecutor(
-            rendering.program, model,
-            prefetch_budget=program.prefetch_budget).outcomes()
-        for model in LATTICE
-    }
+    memo = memo or OutcomeSets(program)
+    outcome_sets = {model: memo.reorder(model) for model in LATTICE}
     violations: List[Violation] = []
     for stronger, weaker in zip(LATTICE, LATTICE[1:]):
         extra = outcome_sets[stronger] - outcome_sets[weaker]
@@ -243,8 +272,8 @@ def check_lattice(program: FuzzProgram) -> List[Violation]:
     return violations
 
 
-def check_program(program: FuzzProgram,
-                  weaken: Optional[str] = None) -> List[Violation]:
+def check_program(program: FuzzProgram, weaken: Optional[str] = None,
+                  memo: Optional[OutcomeSets] = None) -> List[Violation]:
     """Every *must-hold* abstract invariant on one program.
 
     Lattice monotonicity, plus happens-before coherence under each
@@ -254,11 +283,12 @@ def check_program(program: FuzzProgram,
     runs the bypass mechanism).  Baseline controls are *not* included --
     their cycles are expected and reported separately by the harness.
     """
-    violations = list(check_lattice(program))
+    memo = memo or OutcomeSets(program)
+    violations = list(check_lattice(program, memo))
     for model in (ConsistencyModel.ATOMIC,
                   ConsistencyModel.SCOPE_RELAXED,
                   ConsistencyModel.UNCACHEABLE):
-        violations.extend(check_coherence(program, model, weaken))
+        violations.extend(check_coherence(program, model, weaken, memo))
     return violations
 
 
@@ -274,22 +304,22 @@ def outcomes_digest(outcomes: Iterable[Outcome]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def fingerprints(program: FuzzProgram) -> Dict[str, str]:
+def fingerprints(program: FuzzProgram,
+                 memo: Optional[OutcomeSets] = None) -> Dict[str, str]:
     """Outcome-set digests keyed by executor leg.
 
-    ``inorder:<model>`` covers all six mechanisms on the in-order
+    ``inorder:<model>`` covers all seven mechanisms on the in-order
     machine; ``reorder:<model>`` covers the four proposed models under
-    Table-I reordering on the bare rendering.  Corpus replay recomputes
-    these and diffs -- any semantic drift in the executors, the
-    renderings or ``may_reorder`` shows up as a mismatch.
+    Table-I reordering on the bare rendering.  Given the ``memo`` the
+    program's checks filled, this digests sets already searched; corpus
+    replay searches afresh and diffs -- any semantic drift in the
+    executors, the renderings or ``may_reorder`` shows up as a mismatch.
     """
+    memo = memo or OutcomeSets(program)
     out: Dict[str, str] = {}
     for model in ConsistencyModel:
-        executor, _rendering = inorder_executor(program, model)
-        out[f"inorder:{model.value}"] = outcomes_digest(executor.outcomes())
-    bare = program.rendering(None)
+        out[f"inorder:{model.value}"] = outcomes_digest(
+            memo.inorder(model)[0])
     for model in LATTICE:
-        executor = ModelExecutor(
-            bare.program, model, prefetch_budget=program.prefetch_budget)
-        out[f"reorder:{model.value}"] = outcomes_digest(executor.outcomes())
+        out[f"reorder:{model.value}"] = outcomes_digest(memo.reorder(model))
     return out

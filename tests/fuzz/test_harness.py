@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.api.store import ResultStore
+from repro.core.litmus import LitmusExecutor
 from repro.fuzz.corpus import FuzzCorpus
 from repro.fuzz.harness import fuzz_run, replay_corpus
 
@@ -88,3 +89,27 @@ def test_weakened_run_produces_shrunk_repros_and_no_corpus(tmp_path):
 def test_unknown_weaken_mode_is_rejected():
     with pytest.raises(ValueError, match="weaken"):
         fuzz_run(seed=1, programs=1, weaken="nonesuch")
+
+
+def test_each_distinct_executor_input_is_searched_once(tmp_path,
+                                                        monkeypatch):
+    """Per program at most 5 in-order searches (naive, sw-flush, atomic
+    = store = scope, scope-relaxed, uncacheable) plus the 4 reorder
+    legs; the corpus fingerprints reuse the checks' outcome sets."""
+    searches = []
+    search = LitmusExecutor.outcomes
+
+    def counted(executor):
+        searches.append(executor)
+        return search(executor)
+
+    monkeypatch.setattr(LitmusExecutor, "outcomes", counted)
+    report = fuzz_run(seed=SEED, programs=PROGRAMS,
+                      corpus_root=str(tmp_path), timing=False)
+    assert report["corpus_added"] == PROGRAMS
+    assert len(searches) <= 9 * PROGRAMS
+
+    searches.clear()
+    replay = replay_corpus(str(tmp_path), timing=False)
+    assert replay["entries"] == PROGRAMS and replay["mismatches"] == {}
+    assert len(searches) <= 9 * PROGRAMS
