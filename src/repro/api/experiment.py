@@ -103,11 +103,17 @@ class Experiment:
         """A stable digest of the full spec (config + workload + params).
 
         Equal experiments hash equally across processes and sessions, so
-        the digest keys the Runner's result cache and any on-disk cache a
-        later PR adds.
+        the digest keys the Runner's result cache and the result store.
+        Computed once per instance: the spec and everything it reaches
+        are immutable, so the memo (kept out of ``==``, ``hash()`` and
+        ``repr``) cannot go stale; ``replace`` builds a fresh instance.
         """
-        payload = json.dumps(self.to_dict(), sort_keys=True, default=repr)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
+        memo = self.__dict__.get("_spec_hash")
+        if memo is None:
+            payload = json.dumps(self.to_dict(), sort_keys=True, default=repr)
+            memo = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
+            object.__setattr__(self, "_spec_hash", memo)
+        return memo
 
     # -- dict round trip -------------------------------------------------- #
 

@@ -28,7 +28,6 @@ registered in :data:`CAMPAIGNS`; ``repro-bench sweep`` is the CLI.
 
 from __future__ import annotations
 
-import copy
 import enum
 import hashlib
 import itertools
@@ -92,6 +91,16 @@ def _set_path(data: Dict, path: str, value) -> None:
     for part in parts[:-1]:
         node = node.setdefault(part, {})
     node[parts[-1]] = value
+
+
+def _copy_tree(value):
+    """Copy the dict/list structure of a sweep base.  Leaves (scalars,
+    tuples, frozen configs) are immutable, so they are shared."""
+    if isinstance(value, dict):
+        return {k: _copy_tree(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copy_tree(v) for v in value]
+    return value
 
 
 def _check_keys(kind: str, data: Mapping[str, object],
@@ -158,7 +167,7 @@ class Sweep:
         name: prefix of every point name (``ycsb/model=atomic,scopes=8``).
         base: experiment template in the
             :meth:`~repro.api.experiment.Experiment.from_dict` dict form;
-            axes write into a deep copy of it.
+            axes write into a copy of its dict/list tree.
         axes: the swept dimensions, grid-crossed in declaration order.
         zip_groups: tuples of axis names that advance together instead of
             crossing (all axes of a group need equally many values).
@@ -250,7 +259,7 @@ class Sweep:
             coords = {axis.name: value for axis, value in assignments}
             if not all(accept(coords) for accept in self.filters):
                 continue
-            data = copy.deepcopy(self.base)
+            data = _copy_tree(self.base)
             for axis, value in assignments:
                 _set_path(data, axis.resolved_path(), _spec_value(value))
             experiment = Experiment.from_dict(data)
@@ -281,7 +290,7 @@ class Sweep:
                 f"not serializable")
         return {
             "name": self.name,
-            "base": copy.deepcopy(self.base),
+            "base": _copy_tree(self.base),
             "axes": [a.to_dict() for a in self.axes],
             "zip": [list(g) for g in self.zip_groups],
         }

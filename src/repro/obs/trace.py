@@ -35,15 +35,17 @@ from typing import Dict, List, Optional
 #: Schema tag of the obs payload attached to a SimulationResult.
 OBS_SCHEMA = "repro-obs/1"
 
-#: The stall taxonomy (see docs/observability.md).  Values are either
-#: cycles (waits with a known duration) or incident counts; the unit
-#: rides in the reason name so tables stay self-describing.
+#: The stall taxonomy (see docs/observability.md for each unit).  Values
+#: are cycles (waits with a known duration, retry delays) or counts
+#: (incidents, pick attempts).
 STALL_REASONS = (
-    "mshr_full",          # L1/LLC miss bounced off a full MSHR file
+    "mshr_full",          # miss bounced off a full MSHR file: 4 retry
+                          # cycles per bounce, not a bounce count
     "admission_wait",     # core arrival delayed by the admission queue
     "admission_shed",     # core arrival dropped (count, not cycles)
     "fence_wait",         # core blocked in a memory/PIM/scope fence
-    "pim_busy",           # MC held a PIM op back (module buffer full)
+    "pim_busy",           # MC passed over a PIM op (module buffer full):
+                          # one per held-back message per pick, not cycles
     "crossbar_contention",  # PIM scope throttled at max_concurrent_scopes
 )
 

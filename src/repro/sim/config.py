@@ -14,7 +14,7 @@ All latencies are in host clock cycles (3.6 GHz in Table II).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional
 
 from repro.core.models import ConsistencyModel
@@ -336,6 +336,10 @@ _CONFIG_PRESETS = {
 }
 
 
+def _fields_dict(obj) -> Dict[str, object]:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def config_to_dict(config: SystemConfig) -> Dict[str, object]:
     """A JSON-safe dict that :func:`config_from_dict` restores exactly.
 
@@ -343,9 +347,12 @@ def config_to_dict(config: SystemConfig) -> Dict[str, object]:
     defaults must not perturb spec hashes, so every experiment hashed
     before the trace layer existed keeps its hash (and its store entry).
     A *non-default* trace section serializes -- a traced experiment spec
-    is deliberately a distinct point.
+    is deliberately a distinct point.  Every leaf is an immutable
+    scalar, so the sections are read field by field, not deep-copied.
     """
-    data = asdict(config)
+    data = _fields_dict(config)
+    for key in _NESTED_CONFIG:
+        data[key] = _fields_dict(data[key])
     data["model"] = config.model.value
     if config.trace == TraceConfig():
         del data["trace"]

@@ -205,9 +205,11 @@ def test_store_verify_lists_quarantined_entries(tmp_path, capsys):
     assert main(["store", "verify", "--store", str(tmp_path)]) == 0
 
     path = next(iter(store.paths()))
-    entry = json.loads(open(path).read())
+    with open(path) as handle:
+        entry = json.load(handle)
     entry["result"]["run_time"] += 1
-    open(path, "w").write(json.dumps(entry))
+    with open(path, "w") as handle:
+        handle.write(json.dumps(entry))
     assert store.get(exp.spec_hash()) is None  # corrupt read quarantines
 
     capsys.readouterr()
@@ -231,7 +233,8 @@ def test_fuzz_cli_run_replay_corpus_round_trip(tmp_path, capsys):
                  "--store", store, "--output", report_file]) == 0
     out = capsys.readouterr().out
     assert "0 violations" in out and "2 banked to corpus" in out
-    report = json.load(open(report_file))
+    with open(report_file) as handle:
+        report = json.load(handle)
     assert report["schema"] == "repro-fuzz-report/1"
     assert report["violations"] == []
 
@@ -266,7 +269,8 @@ def test_trace_run_report_export_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "traced litmus [atomic, 2 scopes]" in out
     assert "wrote trace dump" in out
-    dump = json.load(open(dump_file))
+    with open(dump_file) as handle:
+        dump = json.load(handle)
     assert dump["schema"] == "repro-trace-dump/1"
     assert dump["obs"]["events"]
 
@@ -282,7 +286,8 @@ def test_trace_run_report_export_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote Chrome trace" in out
     assert out.strip().splitlines()[-1].startswith("ok:")
-    chrome = json.load(open(chrome_file))
+    with open(chrome_file) as handle:
+        chrome = json.load(handle)
     assert chrome["traceEvents"]
 
 

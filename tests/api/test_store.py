@@ -104,7 +104,9 @@ def test_put_get_round_trip_and_layout(tmp_path, litmus_result):
     assert spec_hash in store
     assert store.get("no-such-spec") is None
 
-    entry = json.loads(open(path).read())
+    with open(path) as handle:
+
+        entry = json.load(handle)
     assert entry["schema"] == STORE_SCHEMA
     assert entry["spec_hash"] == spec_hash
     assert entry["fingerprint"] == code_fingerprint()
@@ -134,17 +136,21 @@ def test_corrupt_entries_read_as_misses(tmp_path, litmus_result):
     path = store.put(exp.spec_hash(), litmus_result, exp)
 
     # tampered statistics: digest verification fails -> miss
-    entry = json.loads(open(path).read())
+    with open(path) as handle:
+        entry = json.load(handle)
     entry["result"]["run_time"] += 1
-    open(path, "w").write(json.dumps(entry))
+    with open(path, "w") as handle:
+        handle.write(json.dumps(entry))
     assert store.get(exp.spec_hash()) is None
 
     # torn write: invalid JSON -> miss, not an exception
-    open(path, "w").write("{\"schema\": \"repro-store")
+    with open(path, "w") as handle:
+        handle.write("{\"schema\": \"repro-store")
     assert store.get(exp.spec_hash()) is None
 
     # foreign file at the right address -> miss
-    open(path, "w").write(json.dumps({"schema": "not-a-store-entry"}))
+    with open(path, "w") as handle:
+        handle.write(json.dumps({"schema": "not-a-store-entry"}))
     assert store.get(exp.spec_hash()) is None
 
 
@@ -157,9 +163,11 @@ def test_corrupt_entry_is_quarantined_on_read(tmp_path, litmus_result,
     store = ResultStore(str(tmp_path))
     exp = _experiment()
     path = store.put(exp.spec_hash(), litmus_result, exp)
-    entry = json.loads(open(path).read())
+    with open(path) as handle:
+        entry = json.load(handle)
     entry["result"]["run_time"] += 1
-    open(path, "w").write(json.dumps(entry))
+    with open(path, "w") as handle:
+        handle.write(json.dumps(entry))
 
     with caplog.at_level(logging.WARNING, logger="repro.store"):
         assert store.get(exp.spec_hash()) is None
@@ -181,7 +189,8 @@ def test_corrupt_entry_is_quarantined_on_read(tmp_path, litmus_result,
 
     # torn JSON and foreign schemas are misses but NOT quarantined
     # (nothing trustworthy to preserve, and tmp files must not move)
-    open(path, "w").write("{\"schema\": \"repro-store")
+    with open(path, "w") as handle:
+        handle.write("{\"schema\": \"repro-store")
     assert store.get(exp.spec_hash()) is None
     assert store.stats()["quarantined"] == 1
 
@@ -221,15 +230,18 @@ def test_verify_reports_each_defect(tmp_path, litmus_result):
     assert store.verify() == []
 
     # a tampered payload and a misplaced copy are both flagged
-    entry = json.loads(open(good_path).read())
+    with open(good_path) as handle:
+        entry = json.load(handle)
     entry["result"]["events"] += 7
     bad_path = os.path.join(os.path.dirname(good_path), "0" * 40 + ".json")
-    open(bad_path, "w").write(json.dumps(entry))
+    with open(bad_path, "w") as handle:
+        handle.write(json.dumps(entry))
     problems = dict(store.verify())
     assert problems[bad_path] == "result digest mismatch"
 
     entry["result"]["events"] -= 7  # intact content, wrong address
-    open(bad_path, "w").write(json.dumps(entry))
+    with open(bad_path, "w") as handle:
+        handle.write(json.dumps(entry))
     problems = dict(store.verify())
     assert problems[bad_path] == "entry at wrong address"
 

@@ -1,5 +1,6 @@
 """The campaign subsystem: sweep expansion, execution, aggregation, CLI."""
 
+import copy
 import json
 from typing import List, Sequence
 
@@ -95,6 +96,31 @@ def test_explicit_dotted_path_reaches_nested_config():
     caps = [p.experiment.config.pim.buffer_capacity
             for p in sweep.points()]
     assert caps == [8, None]
+
+
+def test_expansion_leaves_the_base_alone():
+    """Axes write into a copy of the base's dict/list tree, never into
+    the base (or the caller's nested dicts it shares); every spec equals
+    the one a deep-copy expansion builds."""
+    base = dict(YCSB_BASE, params=dict(YCSB_BASE["params"],
+                                      field_sizes=[8, [16, 32]]))
+    sweep = Sweep(name="s", base=base, axes=(
+        Axis("zero", (False, True), path="config.pim.zero_logic"),
+        Axis("theta", (0.2, 0.99), path="params.zipf_theta"),
+        Axis("model", ("naive", "atomic")),
+    ))
+    snapshot = copy.deepcopy(sweep.base)
+    points = sweep.points()
+    assert sweep.base == snapshot
+    assert len(points) == 8
+    for point in points:
+        data = copy.deepcopy(snapshot)
+        data["config"]["pim"] = {"zero_logic": point.coords["zero"]}
+        data["params"]["zipf_theta"] = point.coords["theta"]
+        data["config"]["model"] = point.coords["model"]
+        expected = Experiment.from_dict(data)
+        assert point.experiment == expected
+        assert point.experiment.spec_hash() == expected.spec_hash()
 
 
 def test_zip_axes_advance_together_and_hide_derived_values():
