@@ -80,23 +80,11 @@ The subcommands (``--log-level LEVEL`` before any of them, or
         print the headline statistics.  ``--jobs N`` fans the sweep over
         N worker processes through the ProcessPoolBackend.
 
-    repro-bench perf [--quick] [--configs a,b] [--repeats N]
-                     [--check BENCH_kernel.json] [--tolerance 0.30]
-                     [--output out.json] [--update BENCH_kernel.json]
-                     [--profile CONFIG]
-        Measure event-kernel throughput (events/sec) on the pinned
-        benchmark configurations, asserting run-to-run determinism.
-        ``--check`` compares against a checked-in baseline and exits
-        non-zero on a result-digest mismatch or a throughput regression
-        beyond the tolerance; ``--profile`` runs one config under
-        cProfile and prints the top cumulative entries instead.
-
 Examples::
 
     repro-bench run litmus --models naive,atomic --jobs 2
     repro-bench run ycsb --num-scopes 4,8 --param num_ops=30
     repro-bench run tpch --param query=q6 --param scale=0.015625
-    repro-bench perf --quick --check BENCH_kernel.json
     repro-bench sweep run smoke --jobs 2 --output smoke.json
     repro-bench sweep run paper-grid --jobs auto --report EXPERIMENTS.md
     repro-bench sweep run paper-grid --store ~/.cache/repro-store
@@ -172,13 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list registered workloads")
-
-    # The perf subcommand owns its own argument set (repro.api.perf);
-    # main() dispatches to it before this parser runs.  Registered here
-    # so --help lists it.
-    sub.add_parser("perf", add_help=False,
-                   help="measure event-kernel throughput on the pinned "
-                        "benchmark configurations")
 
     sweep = sub.add_parser("sweep", help="declarative campaign sweeps")
     ssub = sweep.add_subparsers(dest="sweep_command", required=True)
@@ -386,8 +367,6 @@ def help_snapshot() -> str:
     """
     import os
 
-    from repro.api.perf import build_perf_parser
-
     saved = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
     try:
@@ -407,20 +386,12 @@ def help_snapshot() -> str:
         def emit(parser: argparse.ArgumentParser) -> None:
             lines.extend([f"## `{parser.prog}`", "", "```",
                           parser.format_help().rstrip("\n"), "```", ""])
-            seen = set()
             for action in parser._actions:
-                if not isinstance(action, argparse._SubParsersAction):
-                    continue
-                for sub in action.choices.values():
-                    if id(sub) in seen or not sub.add_help:
-                        # the perf stub (add_help=False) is documented
-                        # from its real parser below
-                        continue
-                    seen.add(id(sub))
-                    emit(sub)
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        emit(sub)
 
         emit(_build_parser())
-        emit(build_perf_parser())
         return "\n".join(lines)
     finally:
         if saved is None:
@@ -1157,11 +1128,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    arg_list = list(argv) if argv is not None else sys.argv[1:]
-    if arg_list and arg_list[0] == "perf":
-        from repro.api.perf import main as perf_main
-        return perf_main(arg_list[1:])
-    args = _build_parser().parse_args(arg_list)
+    args = _build_parser().parse_args(argv)
     _configure_logging(args.log_level)
     if args.command == "list":
         return _cmd_list()

@@ -77,96 +77,6 @@ def test_parse_params_literals_and_strings():
         _parse_params(["oops"])
 
 
-def test_perf_subcommand_smoke(capsys, tmp_path):
-    from repro.api.cli import main
-
-    out_path = tmp_path / "perf.json"
-    assert main(["perf", "--configs", "litmus", "--repeats", "1",
-                 "--output", str(out_path)]) == 0
-    printed = capsys.readouterr().out
-    assert "litmus" in printed and "events/sec" in printed
-    import json
-    record = json.loads(out_path.read_text())
-    assert "litmus" in record["configs"]
-
-
-def test_perf_check_flags_digest_mismatch(tmp_path):
-    import json
-
-    from repro.api import perf
-    from repro.api.cli import main
-
-    record = perf.run_suite(["litmus"], repeats=1)
-    # A corrupted baseline digest must fail the check...
-    bad = {"schema": perf.SCHEMA,
-           "configs": {"litmus": dict(record["configs"]["litmus"],
-                                      stats_sha256="0" * 64)}}
-    bad_path = tmp_path / "bad.json"
-    bad_path.write_text(json.dumps(bad))
-    assert main(["perf", "--configs", "litmus", "--repeats", "1",
-                 "--check", str(bad_path)]) == 1
-    # ...and the genuine record must pass it.
-    good_path = tmp_path / "good.json"
-    good_path.write_text(json.dumps(record))
-    assert main(["perf", "--configs", "litmus", "--repeats", "1",
-                 "--check", str(good_path)]) == 0
-
-
-def test_perf_update_preserves_tracked_schema(tmp_path):
-    """--update must keep the baseline section and recompute speedups,
-    so BENCH_kernel.json stays regenerable by tooling."""
-    import json
-
-    from repro.api import perf
-    from repro.api.cli import main
-
-    record = perf.run_suite(["litmus"], repeats=1)
-    base = {name: dict(cfg, events_per_sec=cfg["events_per_sec"] // 2)
-            for name, cfg in record["configs"].items()}
-    tracked = tmp_path / "BENCH_kernel.json"
-    tracked.write_text(json.dumps({
-        "schema": perf.SCHEMA,
-        "description": "tracked",
-        "baseline": {"kernel": "old", "configs": base},
-        "configs": record["configs"],
-    }))
-    assert main(["perf", "--configs", "litmus", "--repeats", "1",
-                 "--update", str(tracked)]) == 0
-    updated = json.loads(tracked.read_text())
-    assert updated["baseline"]["configs"] == base
-    assert updated["description"] == "tracked"
-    litmus = updated["configs"]["litmus"]
-    assert litmus["speedup_vs_baseline"] >= 1.0
-    assert litmus["stats_sha256"] == record["configs"]["litmus"]["stats_sha256"]
-
-
-def test_perf_update_gives_no_speedup_across_different_simulations(
-        tmp_path):
-    """A config whose digest moved since the baseline (its program
-    changed) gets no speedup_vs_baseline: the ratio would compare two
-    different simulations."""
-    import json
-
-    from repro.api import perf
-
-    def cfg(digest):
-        return {"events": 10, "run_time": 5, "stale_reads": 0,
-                "stats_sha256": digest, "wall_s": 1.0,
-                "events_per_sec": 10}
-
-    tracked = tmp_path / "BENCH_kernel.json"
-    tracked.write_text(json.dumps({
-        "schema": perf.SCHEMA,
-        "baseline": {"configs": {"same": cfg("a"), "moved": cfg("b")}},
-        "configs": {"moved": dict(cfg("c"), speedup_vs_baseline=2.0)},
-    }))
-    record = {"configs": {"same": dict(cfg("a"), events_per_sec=20),
-                          "moved": dict(cfg("c"), events_per_sec=20)}}
-    updated = perf.update_tracked_file(str(tracked), record)["configs"]
-    assert updated["same"]["speedup_vs_baseline"] == 2.0
-    assert "speedup_vs_baseline" not in updated["moved"]
-
-
 def test_store_prune_by_fingerprint_cli(tmp_path, capsys):
     from repro.api import Experiment, ResultStore
     from repro.api.backends import execute_experiment
@@ -382,33 +292,3 @@ def test_fuzz_run_trace_flag_is_accepted(tmp_path, capsys):
                  "--store", str(tmp_path / "store"), "--trace"]) == 0
     out = capsys.readouterr().out
     assert "0 violations" in out
-
-
-def test_perf_report_renders_the_speedup_trajectory():
-    from repro.api.perf import _speedup_sections, format_report
-
-    def cfg(eps):
-        return {"events": 1000, "run_time": 10, "wall_s": 0.5,
-                "events_per_sec": eps}
-
-    record = {"configs": {"ycsb-c": cfg(400)}}
-    tracked = {
-        "configs": {"ycsb-c": cfg(400)},
-        "baseline": {"configs": {"ycsb-c": cfg(100)}},
-        "history": {"pr2": {"configs": {"ycsb-c": cfg(200)}},
-                    "pr4": {"configs": {"other": cfg(999)}}},
-    }
-    labels = [label for label, _ in _speedup_sections(tracked)]
-    assert labels == ["vs-seed", "vs-pr2", "vs-pr4", "vs-last"]
-
-    out = format_report(record, tracked)
-    header, row = out.splitlines()
-    assert "vs-seed" in header and "vs-pr2" in header \
-        and "vs-last" in header
-    assert "4.00x" in row and "2.00x" in row and "1.00x" in row
-    assert "-" in row  # pr4 never measured ycsb-c
-
-    # a plain --output record still yields the classic single column
-    assert [l for l, _ in _speedup_sections({"configs": {"a": cfg(1)}})] \
-        == ["speedup"]
-    assert _speedup_sections(None) == []

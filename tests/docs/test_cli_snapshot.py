@@ -26,7 +26,8 @@ def test_snapshot_covers_every_subcommand():
 
     snapshot = help_snapshot()
     for section in ("## `repro-bench`", "## `repro-bench sweep run`",
-                    "## `repro-bench perf`", "## `repro-bench fuzz run`",
+                    "## `repro-bench trace export`",
+                    "## `repro-bench fuzz run`",
                     "## `repro-bench store prune`",
                     "## `repro-bench store verify`"):
         assert section in snapshot, f"help snapshot lost {section}"

@@ -1,13 +1,19 @@
-"""Stub components shared by the test suite."""
+"""Stub components and run helpers shared by the test suite."""
 
+import cProfile
+import dataclasses
+import pstats
 from typing import List, Optional
 
 import pytest
 
+from repro.api.experiment import Experiment
 from repro.core.scope import ScopeMap
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
+from repro.system.builder import System
+from repro.system.simulation import collect_result
 
 
 class CaptureSink(Component):
@@ -83,3 +89,26 @@ def make_store(addr, scope=None, reply_to=None, core=0):
 def make_pim(scope, addr=0, reply_to=None, core=0, direct=False):
     return Message(MessageType.PIM_OP, addr=addr, scope=scope, core=core,
                    reply_to=reply_to, direct=direct)
+
+
+def profile_run(spec, trace=None):
+    """Run an experiment spec with only ``System.run`` under cProfile.
+
+    Workload generation, system build and compile stay outside the
+    profile.  ``trace`` overlays a :class:`TraceConfig` the way
+    ``execute_experiment`` does.  Returns the result and the run's
+    :class:`pstats.Stats`; call counts, unlike wall time, do not
+    depend on the machine.
+    """
+    experiment = Experiment.from_dict(spec)
+    config = experiment.config
+    if trace is not None:
+        config = dataclasses.replace(config, trace=trace)
+    workload = experiment.build_workload()
+    system = System(config)
+    system.load_programs(workload.compile(system))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run_time = system.run(max_events=experiment.max_events)
+    profiler.disable()
+    return collect_result(system, run_time), pstats.Stats(profiler)

@@ -5,12 +5,17 @@ Edge cases mirror the reference non-blocking D-cache verification
 racing a new miss into the same cache set, a dirty victim written back
 while refills are outstanding, and stall-only-when-exhausted
 backpressure -- plus determinism of the whole subsystem across the
-Serial and ProcessPool backends.
+Serial and ProcessPool backends, and a call-count bound on what the
+explicit MSHR stats cost a whole ycsb-c run.
 """
 
 import pytest
 
-from helpers import CaptureSink, ResponseCollector, make_load, make_store
+# tests/ is on sys.path (tests/conftest.py), so the pinned specs are
+# imported from the digest gate rather than duplicated here.
+from api.test_default_digests import _PINNED_CONFIGS
+from helpers import (CaptureSink, ResponseCollector, make_load, make_store,
+                     profile_run)
 
 from repro.memory.l1 import L1Cache
 from repro.memory.mshr import MshrFile
@@ -285,3 +290,38 @@ def test_mshr_config_deterministic_across_backends():
         assert p.run_time == s.run_time
         assert p.events == s.events
         assert p.stats == s.stats
+
+
+#: The stats an explicitly configured MSHR file adds to its cache's group.
+MSHR_STATS = ("mshr_occupancy", "mshr_occupancy_count", "mshr_refills",
+              "coalesced_misses", "hit_under_miss")
+
+
+def test_explicit_mshr_config_adds_stats_but_no_calls():
+    """ycsb-c-mshr8 sets ycsb-c's MSHR sizes explicitly.  It must
+    simulate the same run, add only the mshr_* stats, and cost at most
+    1.25x the profiled calls per event of the silent default (the old
+    0.8x-throughput floor, restated as a count that does not depend on
+    the machine)."""
+    silent, silent_profile = profile_run(_PINNED_CONFIGS["ycsb-c"][0])
+    explicit, explicit_profile = profile_run(
+        _PINNED_CONFIGS["ycsb-c-mshr8"][0])
+    assert (explicit.run_time, explicit.events) \
+        == (silent.run_time, silent.events)
+
+    def flat(stats):
+        return {(group, key): value for group, values in stats.items()
+                for key, value in values.items()}
+
+    silent_stats, explicit_stats = flat(silent.stats), flat(explicit.stats)
+    caches = ["llc"] + [group for group in silent.stats
+                        if group.startswith("l1.")]
+    added = {(group, key) for group in caches for key in MSHR_STATS}
+    assert len(added) == 35  # the llc and six l1 groups
+    assert set(explicit_stats) == set(silent_stats) | added
+    assert {key: explicit_stats[key] for key in silent_stats} \
+        == silent_stats
+
+    ratio = ((explicit_profile.total_calls / explicit.events)
+             / (silent_profile.total_calls / silent.events))
+    assert ratio <= 1.25, f"MSHR bookkeeping: {ratio:.3f}x calls per event"

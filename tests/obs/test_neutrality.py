@@ -6,22 +6,29 @@ exactly -- but every run executes under a full trace overlay (event
 ring + flight recorder armed).  If a trace hook ever schedules an
 event, mutates a message, or perturbs a queue decision,
 these digests move and this file fails before any baseline silently
-re-pins.
+re-pins.  With tracing off, the hook sites make no call into
+``repro/obs/`` at all.
 """
+
+import os
 
 import pytest
 
+import repro.obs
 from repro.api.backends import execute_experiment
 from repro.api.experiment import Experiment
+from repro.obs.trace import Tracer
 from repro.sim.config import TraceConfig
 from repro.system.simulation import result_digest
 # tests/ is on sys.path (tests/conftest.py), so the pinned digests are
 # imported from the untraced gate rather than duplicated here.
 from api.test_default_digests import (
     _LITMUS_DIGEST,
+    _PINNED_CONFIGS,
     _TPCH_DIGEST,
     _YCSB_DIGESTS,
 )
+from helpers import profile_run
 
 #: Full-fat tracing: event ring on, flight recorder armed.
 TRACE = TraceConfig(enabled=True, ring_size=4096, flight=True)
@@ -69,6 +76,25 @@ def test_litmus_digest_unchanged_under_tracing():
         "variant": "digest-gate",
     })
     assert digest == _LITMUS_DIGEST
+
+
+def test_untraced_run_makes_no_call_into_obs():
+    """Tracing off costs the hook sites no call into ``repro/obs/``, on
+    ycsb-c's paths plus the admission queue.  The traced control shows
+    the file filter does see such calls."""
+    obs_dir = os.path.dirname(repro.obs.__file__) + os.sep
+    spec = _PINNED_CONFIGS["ycsb-c-openloop"][0]
+
+    def obs_calls(stats):
+        return {func: row[1] for func, row in stats.stats.items()
+                if func[0].startswith(obs_dir)}
+
+    _, untraced = profile_run(spec)
+    assert obs_calls(untraced) == {}
+    _, traced = profile_run(spec, trace=TraceConfig(enabled=True))
+    code = Tracer.record.__code__
+    record = (code.co_filename, code.co_firstlineno, code.co_name)
+    assert obs_calls(traced).get(record, 0) > 0
 
 
 def test_trace_overlay_leaves_the_spec_hash_alone():

@@ -17,6 +17,7 @@ from dataclasses import asdict
 from repro.api import Experiment, Runner
 from repro.core.models import ConsistencyModel
 from repro.sim.config import SystemConfig
+from repro.system.simulation import result_digest
 from repro.workloads.ycsb import YcsbParams
 
 PARAMS = YcsbParams(num_records=8000, num_ops=30, threads=4, seed=11)
@@ -114,8 +115,7 @@ def test_deterministic_replay():
     exp = _experiment(ConsistencyModel.SCOPE)
     a = Runner(cache=False).run(exp)
     b = Runner(cache=False).run(exp)
-    assert a.run_time == b.run_time
-    assert a.events == b.events
+    assert result_digest(a.to_dict()) == result_digest(b.to_dict())
 
 
 def test_result_properties_exposed():
