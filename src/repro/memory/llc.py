@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.scope import ScopeMap
 from repro.memory.cache import CacheArray, CacheLine
 from repro.memory.mesi import MesiState
 from repro.memory.mshr import MshrFile
@@ -45,7 +44,6 @@ class LastLevelCache(QueuedComponent):
         name: str,
         config: CacheConfig,
         scope_buffer_cfg: ScopeBufferConfig,
-        scope_map: ScopeMap,
         mem_link: Component,
         resp_net: Component,
         mshr_count: int = 64,
@@ -57,7 +55,6 @@ class LastLevelCache(QueuedComponent):
     ) -> None:
         super().__init__(sim, name, capacity=queue_capacity, service_interval=1)
         self.config = config
-        self.scope_map = scope_map
         self.mem_link = mem_link
         self.resp_net = resp_net
         self.array = CacheArray(config.num_sets, config.ways, config.line_bytes)
@@ -89,6 +86,10 @@ class LastLevelCache(QueuedComponent):
         self.mshr_file = MshrFile(mshr_count, coalescing)
         #: Hot-path alias of the MSHR file's entry map.
         self._mshrs = self.mshr_file.entries
+        #: scope -> outstanding fetches carrying it: the scope tag
+        #: ``_install`` gives the line and ``take_scope_lines`` flushes
+        #: by, kept at MSHR allocate/complete for the flush point.
+        self._scope_fetches: Dict[int, int] = {}
         if emit_mshr_stats:
             # Opt-in: the extra snapshot keys re-baseline result digests,
             # so only non-default MSHR configurations export them.
@@ -177,6 +178,10 @@ class LastLevelCache(QueuedComponent):
         if not self._mem_offer(fetch, self):
             return False
         mshr_file.allocate(line_addr, msg.exclusive).waiters.append(msg)
+        scope = msg.scope
+        if scope is not None:
+            fetches = self._scope_fetches
+            fetches[scope] = fetches.get(scope, 0) + 1
         return True
 
     def receive_response(self, resp: Message) -> None:
@@ -185,7 +190,15 @@ class LastLevelCache(QueuedComponent):
         mshr = self.mshr_file.complete(line_addr)
         if mshr is None:
             return
-        line = self._install(line_addr, resp.scope, resp.version)
+        scope = resp.scope
+        if scope is not None:
+            fetches = self._scope_fetches
+            count = fetches[scope] - 1
+            if count:
+                fetches[scope] = count
+            else:
+                del fetches[scope]
+        line = self._install(line_addr, scope, resp.version)
         sharers = self._dir.setdefault(line_addr, set())
         for waiter in mshr.waiters:
             if waiter.mtype is _LOAD and not waiter.exclusive:
@@ -322,12 +335,10 @@ class LastLevelCache(QueuedComponent):
         therefore stalls at the head of the queue until those fills
         land; fills bypass the service queue, so the wait always
         terminates, and no new fetch can slip in past the blocked head.
+        A fetch carries its line's scope, so a per-scope count answers
+        without walking the MSHR file.
         """
-        scope_id_of = self.scope_map.scope_id_of
-        for line_addr in self._mshrs:
-            if scope_id_of(line_addr) == scope:
-                return True
-        return False
+        return scope in self._scope_fetches
 
     def _scan_or_skip(self, scope: int) -> int:
         """Scope-buffer lookup; on miss, scan+flush and return the latency.

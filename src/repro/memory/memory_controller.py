@@ -18,7 +18,7 @@ back-pressure reaches the host (Section VII).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.memory.versioned import VersionedMemory
 from repro.sim.component import Component
@@ -51,12 +51,12 @@ class MemoryController(Component):
         self.resp_net = resp_net
         self.pim_module = pim_module
         self._queue: List[Message] = []
+        #: PIM ops in ``_queue``.  When they are all it holds and the
+        #: module's op buffer is full, ``_pick`` has nothing to try.
+        self._queued_ops = 0
         # Insertion-ordered dedup of parked senders (O(1) membership).
         self._waiting_senders: dict = {}
         self._busy = False
-        #: PIM ops per scope that passed this MC and have not finished
-        #: executing (kept for statistics and external queries).
-        self.scope_inflight: Dict[int, int] = {}
         self.stats = StatGroup(name)
         # Service counters are batched as plain ints and synced into the
         # StatGroup at snapshot time.
@@ -118,7 +118,7 @@ class MemoryController(Component):
         queue.append(msg)
         if msg.mtype is _PIM_OP:
             # Arrival at the MC is the ordering point: ACK now (Fig. 6a-b).
-            self.scope_inflight[msg.scope] = self.scope_inflight.get(msg.scope, 0) + 1
+            self._queued_ops += 1
             if msg.reply_to is not None:
                 ack = msg.make_response(MessageType.PIM_ACK)
                 self._resp_offer(ack, None)
@@ -147,6 +147,7 @@ class MemoryController(Component):
                 self.pim_module.offer(msg, self)
                 if msg.mtype is _PIM_OP:
                     self._pim_forwarded += 1
+                    self._queued_ops -= 1
                 self._served += 1
                 if self._waiting_senders:
                     self._wake_senders()
@@ -238,19 +239,31 @@ class MemoryController(Component):
         the PIM module, which preserves arrival order per scope) and are
         only picked when the module's corresponding queue has room.
 
-        The dependency context (lines / scopes already seen) accumulates
-        in one forward walk instead of re-scanning the queue prefix per
-        candidate -- this loop runs for every message the MC serves.
+        The module's admission is read once per pick, and a queue of
+        nothing but PIM ops facing a full op buffer is held back without
+        a walk: that is the retry the module's back-pressure repeats.
+        Otherwise the dependency context (lines / scopes already seen)
+        accumulates in one forward walk instead of re-scanning the queue
+        prefix per candidate -- this loop runs for every message the MC
+        serves.
         """
+        queue = self._queue
         module = self.pim_module
-        busy = self._busy
         stalls = self._stalls
+        if module is not None:
+            op_room, access_room = module.admission()
+            if not op_room and self._queued_ops == len(queue):
+                if stalls is not None:
+                    # One pim_busy incident per held-back message.
+                    stalls["pim_busy"] = stalls.get("pim_busy", 0) + len(queue)
+                return None
+        busy = self._busy
         seen_lines = None  # line addrs of earlier non-scope messages
         seen_scopes = None  # scopes of earlier scope-carrying messages
-        for i, msg in enumerate(self._queue):
+        for i, msg in enumerate(queue):
             scope = msg.scope
             if scope is not None and module is not None:
-                if module.can_accept(msg):
+                if op_room if msg.mtype is _PIM_OP else access_room:
                     if seen_scopes is None or scope not in seen_scopes:
                         return i
                 elif stalls is not None:
@@ -278,17 +291,8 @@ class MemoryController(Component):
     # PIM module callbacks
     # ------------------------------------------------------------------ #
 
-    def pim_op_completed(self, scope: int) -> None:
-        """The PIM module finished executing an op of ``scope``."""
-        count = self.scope_inflight.get(scope, 0) - 1
-        if count <= 0:
-            self.scope_inflight.pop(scope, None)
-        else:
-            self.scope_inflight[scope] = count
-        self.sim.call_at_now(self._serve_bound)
-
     def unblock(self) -> None:
-        """The PIM module freed queue space."""
+        """The PIM module freed queue space or finished an op: retry."""
         self.sim.call_at_now(self._serve_bound)
 
     def _wake_senders(self) -> None:

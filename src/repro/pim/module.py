@@ -28,7 +28,7 @@ truth.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.memory.versioned import VersionedMemory
 from repro.sim.component import Component
@@ -121,24 +121,18 @@ class PimModule(Component):
     # ------------------------------------------------------------------ #
 
     @property
-    def is_full(self) -> bool:
-        """Op-buffer occupancy check used by the MC before forwarding."""
-        cap = self.config.buffer_capacity
-        return cap is not None and self._buffered_ops >= cap
-
-    @property
-    def access_queue_full(self) -> bool:
-        return self._queued_accesses >= self.access_queue_capacity
-
-    @property
     def occupancy(self) -> int:
         """Buffered (not yet executing) PIM ops."""
         return self._buffered_ops
 
-    def can_accept(self, msg: Message) -> bool:
-        if msg.mtype is MessageType.PIM_OP:
-            return not self.is_full
-        return not self.access_queue_full
+    def admission(self) -> Tuple[bool, bool]:
+        """(op-buffer room, access-queue room): what may be offered now.
+
+        The MC reads this once per pick, not once per queued message.
+        """
+        cap = self.config.buffer_capacity
+        return (cap is None or self._buffered_ops < cap,
+                self._queued_accesses < self.access_queue_capacity)
 
     #: Message kinds the module services (it is the memory for PIM scopes).
     ACCEPTED_TYPES = frozenset({
@@ -149,7 +143,8 @@ class PimModule(Component):
     def offer(self, msg: Message, sender: Optional[Component] = None) -> bool:
         if msg.mtype not in self.ACCEPTED_TYPES:
             raise ValueError(f"the PIM module cannot service {msg.mtype}")
-        if not self.can_accept(msg):
+        op_room, access_room = self.admission()
+        if not (op_room if msg.mtype is _PIM_OP else access_room):
             if sender is not None:
                 self._waiting_senders[sender] = None
             return False
@@ -189,10 +184,6 @@ class PimModule(Component):
             return True
         result_lines = self.result_lines_fn(msg.scope)
         return (msg.addr & ~63) in result_lines
-
-    def _unique_buffered_scopes(self) -> int:
-        """Scopes with at least one queued (not yet started) PIM op."""
-        return self._scopes_with_queued_ops
 
     # ------------------------------------------------------------------ #
     # per-scope in-order processing
@@ -278,7 +269,8 @@ class PimModule(Component):
         if self.on_execute is not None:
             self.on_execute(msg)
         if self.mc is not None:
-            self.mc.pim_op_completed(msg.scope)
+            # The MC retries what the full op buffer held back.
+            self.mc.unblock()
         self._scope_done(msg.scope)
         if self._throttled:
             throttled, self._throttled = self._throttled, set()

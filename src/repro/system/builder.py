@@ -105,7 +105,7 @@ class System:
         llc_mshr = config.llc.mshr_entries
         self.llc = LastLevelCache(
             self.sim, "llc", config.llc, config.llc_scope_buffer,
-            self.scope_map, mem_link, self.resp_net,
+            mem_link, self.resp_net,
             mshr_count=64 if llc_mshr is None else llc_mshr,
             coalescing=config.llc.coalescing,
             emit_mshr_stats=llc_mshr is not None or not config.llc.coalescing,

@@ -68,7 +68,7 @@ class SimulationResult:
     events: int = 0
     #: Observability side channel (``Tracer.export()`` payload) -- only
     #: present when the run traced.  Deliberately *not* part of any
-    #: result digest: campaign digests, perf fingerprints and the
+    #: result digest: campaign digests, perfbench's goldens and the
     #: pinned default digests all hash the simulation outputs above,
     #: so tracing on or off leaves them byte-identical.
     obs: Optional[Dict[str, object]] = None

@@ -75,6 +75,12 @@ class DatabaseLayout:
         stride = schema.record_stride()
         if stride * records_per_scope > scope_map.scope_bytes:
             raise ValueError("records do not fit in a scope")
+        # Compiled once: record_address runs for every record a program
+        # touches, so it does no schema or scope-map work of its own.
+        self._stride = stride
+        self._scope_bases = [scope.base for scope in scope_map.scopes()]
+        self._field_offsets = {spec.name: schema.field_byte_offset(spec.name)
+                               for spec in schema.all_fields()}
 
     @property
     def capacity(self) -> int:
@@ -88,10 +94,11 @@ class DatabaseLayout:
         return global_row // self.num_scopes
 
     def record_address(self, global_row: int, field: Optional[str] = None) -> int:
-        scope = self.scope_map.scope(self.shard_of(global_row))
-        addr = scope.base + self.local_row(global_row) * self.schema.record_stride()
+        num_scopes = self.num_scopes
+        addr = (self._scope_bases[global_row % num_scopes]
+                + global_row // num_scopes * self._stride)
         if field is not None:
-            addr += self.schema.field_byte_offset(field)
+            addr += self._field_offsets[field]  # KeyError: no such field
         return addr
 
     def record_lines(self, global_row: int) -> List[int]:

@@ -20,7 +20,7 @@ def _llc(sim, scope_map, mem=None):
         sim, "llc",
         CacheConfig(size_bytes=64 << 10, ways=4, hit_latency=2),
         ScopeBufferConfig(sets=8, ways=2),
-        scope_map, mem, DirectDispatcher(sim, "resp"),
+        mem, DirectDispatcher(sim, "resp"),
     )
     return llc, mem
 

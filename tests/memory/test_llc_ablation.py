@@ -13,7 +13,7 @@ def _llc(sim, scope_map, scope_buffer_enabled=True, sbv_enabled=True):
         sim, "llc",
         CacheConfig(size_bytes=64 << 10, ways=4, hit_latency=2),
         ScopeBufferConfig(sets=8, ways=2),
-        scope_map, mem, DirectDispatcher(sim, "resp"),
+        mem, DirectDispatcher(sim, "resp"),
         scope_buffer_enabled=scope_buffer_enabled,
         sbv_enabled=sbv_enabled,
     )

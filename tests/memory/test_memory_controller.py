@@ -1,11 +1,16 @@
 """The memory controller: ACK-at-arrival, dependency rules, routing."""
 
-from helpers import DirectDispatcher, ResponseCollector, make_load, make_pim, make_store
+from hypothesis import given, settings, strategies as st
+
+from api.test_default_digests import _PINNED_CONFIGS
+from helpers import (DirectDispatcher, ResponseCollector, make_load, make_pim,
+                     make_store, profile_run)
 
 from repro.memory.memory_controller import MemoryController
 from repro.memory.versioned import VersionedMemory
 from repro.pim.module import PimModule
 from repro.sim.config import MemoryConfig, PimModuleConfig
+from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 
 
@@ -114,6 +119,10 @@ def test_module_backpressure_fills_mc_queue(sim, scope_map):
     # 1 executing + 1 buffered + 4 in the MC queue
     assert accepted == 6
     assert mc.occupancy == 4
+    # Only PIM ops wait on the full buffer: _pick returns without a walk.
+    assert mc._queued_ops == 4
+    sim.run()
+    assert mc._queued_ops == 0
 
 
 def test_pim_ops_to_distinct_scopes_flow_to_module(sim):
@@ -189,3 +198,102 @@ def test_default_burst_len_emits_no_burst_stats(sim):
     sim.run()
     snap = mc.stats.as_dict()
     assert "bursts_issued" not in snap and "burst_length" not in snap
+
+
+# ---------------------------------------------------------------------- #
+# the pick under PIM back-pressure
+# ---------------------------------------------------------------------- #
+
+_PIM_BASE = 1 << 30
+_SCOPE_BYTES = 128 << 10
+
+#: DRAM loads/stores over 4 lines, and module-bound loads/stores/PIM
+#: ops over 3 scopes x 4 lines.
+_QUEUED = st.one_of(
+    st.tuples(st.sampled_from(["load", "store"]), st.none(),
+              st.integers(0, 3)),
+    st.tuples(st.sampled_from(["load", "store", "pim"]), st.integers(0, 2),
+              st.integers(0, 3)),
+)
+
+
+def _queued_message(kind, scope, line):
+    if scope is None:
+        addr = 0x9000 + 64 * line
+    else:
+        addr = _PIM_BASE + scope * _SCOPE_BYTES + 64 * line
+    if kind == "pim":
+        return make_pim(scope, addr=addr)
+    make = make_load if kind == "load" else make_store
+    return make(addr, scope=scope)
+
+
+def _reference_pick(queue, busy, op_room, access_room, stalls):
+    """The per-message walk ``_pick`` replaced: one ``can_accept`` per
+    queued module-bound message, one pim_busy per message held back."""
+    seen_lines, seen_scopes = set(), set()
+    for i, msg in enumerate(queue):
+        scope = msg.scope
+        if scope is not None:
+            if msg.mtype is MessageType.PIM_OP:
+                can_accept = op_room
+            else:
+                can_accept = access_room
+            if can_accept:
+                if scope not in seen_scopes:
+                    return i
+            elif stalls is not None:
+                stalls["pim_busy"] = stalls.get("pim_busy", 0) + 1
+        elif not busy and msg.addr & ~63 not in seen_lines:
+            return i
+        if scope is None:
+            seen_lines.add(msg.addr & ~63)
+        else:
+            seen_scopes.add(scope)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(queued=st.lists(_QUEUED, min_size=1, max_size=12),
+       op_full=st.booleans(), access_full=st.booleans(),
+       busy=st.booleans(), traced=st.booleans(),
+       earlier_pim_busy=st.integers(0, 3))
+def test_pick_matches_the_per_message_reference(queued, op_full, access_full,
+                                                busy, traced,
+                                                earlier_pim_busy):
+    """``_pick`` reads the module's admission once per pick, and skips
+    the walk when only PIM ops face a full op buffer.  Index and
+    pim_busy count must match the per-message walk.  The queue is
+    never empty: ``_serve`` picks only from a non-empty queue."""
+    mc, module, _ = _mc(Simulator(), buffer_capacity=2, queue_capacity=16)
+    for item in queued:
+        assert mc.offer(_queued_message(*item))
+    module._buffered_ops = 2 if op_full else 0
+    module._queued_accesses = (module.access_queue_capacity if access_full
+                               else 0)
+    mc._busy = busy
+    stalls = expected = None
+    if traced:
+        stalls = {"pim_busy": earlier_pim_busy} if earlier_pim_busy else {}
+        expected = dict(stalls)
+        mc._stalls = stalls
+    index = _reference_pick(list(mc._queue), busy, not op_full,
+                            not access_full, expected)
+    assert mc._pick() == index
+    assert stalls == expected
+
+
+def test_pick_reads_admission_once_per_pick():
+    """``tpch-q6-sf2`` back-pressures the host on a full op buffer.  A
+    pick makes at most one call into the PIM module, however long the
+    MC queue: the per-message ``can_accept`` walk made 132,575 over
+    20,887 picks.  Only the ratio is asserted; counts vary by Python
+    version."""
+    _, stats = profile_run(_PINNED_CONFIGS["tpch-q6-sf2"][0])
+    code = MemoryController._pick.__code__
+    pick = (code.co_filename, code.co_firstlineno, code.co_name)
+    module_file = PimModule.offer.__code__.co_filename
+    module_calls = sum(callers[pick][0]
+                       for func, (_, _, _, _, callers) in stats.stats.items()
+                       if func[0] == module_file and pick in callers)
+    assert 0 < module_calls <= stats.stats[pick][1]

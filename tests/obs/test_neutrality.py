@@ -17,7 +17,7 @@ import pytest
 import repro.obs
 from repro.api.backends import execute_experiment
 from repro.api.experiment import Experiment
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, stall_totals
 from repro.sim.config import TraceConfig
 from repro.system.simulation import result_digest
 # tests/ is on sys.path (tests/conftest.py), so the pinned digests are
@@ -76,6 +76,27 @@ def test_litmus_digest_unchanged_under_tracing():
         "variant": "digest-gate",
     })
     assert digest == _LITMUS_DIGEST
+
+
+#: Every pinned config's stall totals under stall attribution alone
+#: (``ring_size=0``).  Digests leave the obs payload out, so these pin
+#: stall accounting: a change in how a wait is counted moves one.
+_PINNED_STALLS = {
+    "litmus": {},
+    "tpch-q6-sf2": {"pim_busy": 124_919},
+    "ycsb-c": {},
+    "ycsb-c-8core": {"pim_busy": 27_411},
+    "ycsb-c-mshr8": {},
+    "ycsb-c-openloop": {"admission_wait": 336_184},
+    "ycsb-mix": {"fence_wait": 36_039, "pim_busy": 2_809},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+def test_pinned_config_stall_totals(name):
+    res = execute_experiment(Experiment.from_dict(_PINNED_CONFIGS[name][0]),
+                             trace=TraceConfig(enabled=True, ring_size=0))
+    assert stall_totals(res.obs) == _PINNED_STALLS[name]
 
 
 def test_untraced_run_makes_no_call_into_obs():

@@ -37,6 +37,16 @@ def test_layout_matches_functional_database():
         assert layout.bitmap_lines(sid) == db.shards[sid].bitmap_line_addresses(0)
 
 
+def test_layout_field_offsets_cover_every_field():
+    layout = DatabaseLayout(SMAP, SCHEMA, records_per_scope=64)
+    base = layout.record_address(9)
+    for spec in SCHEMA.all_fields():
+        assert (layout.record_address(9, spec.name)
+                == base + SCHEMA.field_byte_offset(spec.name))
+    with pytest.raises(KeyError):
+        layout.record_address(9, "no-such-field")
+
+
 def test_layout_rejects_oversized_records():
     with pytest.raises(ValueError):
         DatabaseLayout(SMAP, SCHEMA, records_per_scope=1 << 20)
