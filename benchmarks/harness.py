@@ -13,8 +13,8 @@ N worker processes.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, replace
-from typing import Callable, Dict, List, Optional
+from dataclasses import asdict
+from typing import Dict, List, Mapping, Optional
 
 from repro.api import Axis, Experiment, Runner, Sweep, backend_for
 from repro.api import sweep as campaign_defs
@@ -58,26 +58,38 @@ def ycsb_params(num_scopes: int, threads: int = 4) -> YcsbParams:
     )
 
 
+def _config(threads: int,
+            overrides: Optional[Mapping[str, object]]) -> Dict[str, object]:
+    """The scaled preset plus hardware overrides, in config-dict form.
+
+    ``overrides`` holds top-level config keys (``{"pim": {"zero_logic":
+    True}}``); a nested dict overrides only the fields it names.  Eight
+    threads run on a doubled-core host.
+    """
+    config: Dict[str, object] = {"preset": "scaled"}
+    if threads != 4:
+        config["cores"] = {"num_cores": 2 * threads}
+    config.update(overrides or {})
+    return config
+
+
 def ycsb_experiment(
     model: ConsistencyModel,
     num_scopes: int,
     variant: str = "base",
-    config_fn: Optional[Callable[[SystemConfig], SystemConfig]] = None,
+    config: Optional[Mapping[str, object]] = None,
     threads: int = 4,
 ) -> Experiment:
-    """The declarative spec of one YCSB sweep point."""
-    cfg = SystemConfig.scaled_default(model=model, num_scopes=num_scopes)
-    if threads != 4:
-        cfg = replace(cfg, cores=replace(cfg.cores, num_cores=2 * threads))
-    if config_fn is not None:
-        cfg = config_fn(cfg)
-    return Experiment(
-        workload="ycsb",
-        config=cfg,
-        params=asdict(ycsb_params(num_scopes, threads)),
-        variant=variant,
-        max_events=MAX_EVENTS,
-    )
+    """The declarative spec of one YCSB sweep point; ``config`` holds
+    hardware overrides on top of the scaled preset."""
+    return Experiment.from_dict({
+        "workload": "ycsb",
+        "params": asdict(ycsb_params(num_scopes, threads)),
+        "config": dict(_config(threads, config), model=model.value,
+                       num_scopes=num_scopes),
+        "variant": variant,
+        "max_events": MAX_EVENTS,
+    })
 
 
 def tpch_experiment(model: ConsistencyModel, query: str,
@@ -99,12 +111,12 @@ def run_ycsb(
     model: ConsistencyModel,
     num_scopes: int,
     variant: str = "base",
-    config_fn: Optional[Callable[[SystemConfig], SystemConfig]] = None,
+    config: Optional[Mapping[str, object]] = None,
     threads: int = 4,
 ) -> SimulationResult:
     """One YCSB simulation point (cached by spec hash)."""
     return runner.run(ycsb_experiment(model, num_scopes, variant,
-                                      config_fn, threads))
+                                      config, threads))
 
 
 def run_tpch(model: ConsistencyModel, query: str,
@@ -114,31 +126,25 @@ def run_tpch(model: ConsistencyModel, query: str,
 
 
 def ycsb_sweep(models: List[ConsistencyModel], variant: str = "base",
-               config_fn=None, threads: int = 4,
+               config: Optional[Mapping[str, object]] = None,
+               threads: int = 4,
                scopes: Optional[List[int]] = None) -> Dict[str, List[SimulationResult]]:
     """The model x scope-count grid, declared as a Sweep.
 
     The grid expands declaratively (scope count zipped to its derived
     record count, models crossed over them) and dispatches as one Runner
-    batch; ``config_fn`` rides along as the sweep's in-process transform
-    for the Fig. 11/12 hardware overrides that plain data cannot express.
-    The expanded specs are identical to :func:`ycsb_experiment`'s, so
-    single figure points and whole sweeps share the spec-hash cache.
+    batch; ``config`` carries the Fig. 11/12 hardware overrides into the
+    sweep base as plain data.  The expanded specs are identical to
+    :func:`ycsb_experiment`'s, so single figure points and whole sweeps
+    share the spec-hash cache.
     """
     scopes = scopes or SCOPE_SWEEP
-    base_config: Dict[str, object] = {"preset": "scaled"}
-    if threads != 4:
-        base_config["cores"] = {"num_cores": 2 * threads}
-    transform = None
-    if config_fn is not None:
-        transform = lambda exp, coords: replace(  # noqa: E731
-            exp, config=config_fn(exp.config))
     sweep = Sweep(
         name=f"ycsb-{variant}",
         base={
             "workload": "ycsb",
             "params": asdict(ycsb_params(0, threads)),
-            "config": base_config,
+            "config": _config(threads, config),
             "variant": variant,
             "max_events": MAX_EVENTS,
         },
@@ -150,7 +156,6 @@ def ycsb_sweep(models: List[ConsistencyModel], variant: str = "base",
                  path="params.num_records", hidden=True),
         ),
         zip_groups=(("scopes", "records"),),
-        transform=transform,
     )
     results = runner.run_all(sweep.experiments())
     per_point = iter(results)

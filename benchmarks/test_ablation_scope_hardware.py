@@ -7,8 +7,6 @@ time. This bench runs the same YCSB point under the atomic model with
 reports the mean LLC scan latency and run time.
 """
 
-from dataclasses import replace
-
 from harness import once, run_ycsb
 
 from repro.analysis.report import format_table
@@ -29,8 +27,7 @@ def test_ablation_scope_hardware(benchmark):
         return {
             name: run_ycsb(
                 ConsistencyModel.ATOMIC, SCOPES, variant=f"ablation:{name}",
-                config_fn=lambda cfg, sb=sb, sbv=sbv: replace(
-                    cfg, scope_buffer_enabled=sb, sbv_enabled=sbv),
+                config={"scope_buffer_enabled": sb, "sbv_enabled": sbv},
             )
             for name, sb, sbv in VARIANTS
         }

@@ -16,7 +16,7 @@ def test_fig11a_unbounded_buffer(benchmark):
     def sweep():
         return ycsb_sweep(
             ALL_MODELS, variant="unbounded",
-            config_fn=lambda cfg: cfg.with_pim(buffer_capacity=None),
+            config={"pim": {"buffer_capacity": None}},
         )
 
     results = once(benchmark, sweep)
@@ -39,7 +39,7 @@ def test_fig11b_zero_logic(benchmark):
     def sweep():
         return ycsb_sweep(
             ALL_MODELS, variant="zero-logic",
-            config_fn=lambda cfg: cfg.with_pim(zero_logic=True),
+            config={"pim": {"zero_logic": True}},
         )
 
     results = once(benchmark, sweep)

@@ -5,25 +5,17 @@ though the SBV gets relatively more effective (Fig. 12c), degrading run
 time slightly relative to the small-LLC system.
 """
 
-from dataclasses import replace
-
-from harness import PROPOSED_MODELS, SCOPE_SWEEP, once, run_ycsb, ycsb_sweep
+from harness import PROPOSED_MODELS, SCOPE_SWEEP, once, ycsb_sweep
 
 from repro.analysis.report import format_series
-from repro.sim.config import CacheConfig
 
-
-def _big_llc(cfg):
-    return replace(cfg, llc=CacheConfig(
-        size_bytes=cfg.llc.size_bytes * 4,
-        ways=cfg.llc.ways,
-        hit_latency=cfg.llc.hit_latency,
-    ))
+#: 4x the scaled preset's 128 KiB LLC, at the same associativity.
+BIG_LLC = {"llc": {"size_bytes": 512 << 10}}
 
 
 def test_fig12_llc_size(benchmark):
     def sweep():
-        big = ycsb_sweep(PROPOSED_MODELS, variant="8mb-llc", config_fn=_big_llc)
+        big = ycsb_sweep(PROPOSED_MODELS, variant="8mb-llc", config=BIG_LLC)
         small = ycsb_sweep(PROPOSED_MODELS)
         return big, small
 

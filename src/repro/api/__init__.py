@@ -3,7 +3,10 @@
 One run is an :class:`Experiment` -- a frozen spec of system config,
 workload name, workload params and variant tag.  A :class:`Runner`
 executes specs through a pluggable backend (:class:`SerialBackend` or
-:class:`ProcessPoolBackend`) and caches results by spec hash::
+:class:`ProcessPoolBackend`) and caches results by spec hash.  Every
+batch settles point by point: :meth:`Runner.run_settled` reports each
+failure as data, and :meth:`Runner.run_all` raises a ``RuntimeError``
+naming the first failed point once the rest have finished::
 
     from repro.api import Experiment, ProcessPoolBackend, Runner
 
@@ -33,7 +36,7 @@ Results outlive the process through the persistent
 content-addressed cache keyed by spec hash plus a code/format
 fingerprint, shared by concurrent shards and sessions --
 ``Runner(store=...)`` consults it before dispatching and writes every
-fresh success back.
+fresh success back.  It is the only way one run resumes another's.
 """
 
 from repro.api.backends import (

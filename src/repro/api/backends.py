@@ -1,8 +1,10 @@
 """Pluggable execution backends for experiment sweeps.
 
 A backend turns a list of :class:`~repro.api.experiment.Experiment`
-specs into a list of :class:`~repro.system.simulation.SimulationResult`,
-**in order**.  Two implementations ship:
+specs into a list of settled outcomes -- a
+:class:`~repro.system.simulation.SimulationResult` or an
+:class:`ExperimentFailure` per point -- **in order**.  Two
+implementations ship:
 
 * :class:`SerialBackend` -- run in-process, one after another;
 * :class:`ProcessPoolBackend` -- fan the sweep across worker processes
@@ -70,92 +72,53 @@ class ExperimentFailure:
 Settled = Union[SimulationResult, ExperimentFailure]
 
 
-def execute_experiment_settled(experiment: Experiment,
-                               trace: Optional[TraceConfig] = None) -> Settled:
-    """Run one spec, converting any failure into :class:`ExperimentFailure`.
+def settle(experiment: Experiment, store=None,
+           trace: Optional[TraceConfig] = None) -> Settled:
+    """Run one spec; a failure settles as :class:`ExperimentFailure`.
 
-    This is the per-point isolation primitive of campaign execution: a
-    workload that cannot even be built (bad parameters) or a simulation
-    that dies mid-run reports as data instead of aborting the batch.
-    """
-    try:
-        return execute_experiment(experiment, trace=trace)
-    except Exception:  # noqa: BLE001 - the point is to report, not crash
-        return ExperimentFailure(traceback.format_exc())
+    This is the per-point isolation primitive of every batch: a workload
+    that cannot even be built (bad parameters) or a simulation that dies
+    mid-run reports as data instead of aborting the batch.
 
-
-def execute_experiment_settled_store(
-        store, experiment: Experiment,
-        trace: Optional[TraceConfig] = None) -> Settled:
-    """Settled execution with write-through to a persistent store.
-
-    The *executing worker* persists its own success, so a campaign
-    killed mid-batch keeps every point that finished -- the next run
-    resumes from the store instead of starting over.  Store I/O failure
-    never fails the point: the result still returns and the Runner-side
-    caches serve it for this session.  The store pickles as plain data
+    With a ``store`` (a :class:`~repro.api.store.ResultStore`), the
+    *executing worker* persists its own success, so a campaign killed
+    mid-batch keeps every point that finished.  Store I/O failure never
+    fails the point: the result still returns and the Runner's memory
+    cache serves it for this session.  The store pickles as plain data
     (a root path and a fingerprint string), so the same function drives
     the serial path and the process pool.
     """
-    outcome = execute_experiment_settled(experiment, trace=trace)
-    if not isinstance(outcome, ExperimentFailure):
+    try:
+        result = execute_experiment(experiment, trace=trace)
+    except Exception:  # noqa: BLE001 - the point is to report, not crash
+        return ExperimentFailure(traceback.format_exc())
+    if store is not None:
         try:
-            store.put(experiment.spec_hash(), outcome, experiment)
+            store.put(experiment.spec_hash(), result, experiment)
         except OSError:
             pass
-    return outcome
-
-
-def _settled_fn(store, trace: Optional[TraceConfig] = None):
-    """The per-point settled executor, write-through when a store rides.
-
-    Both the store and the trace overlay are bound with
-    :func:`functools.partial` over plain data (the store pickles as a
-    root path + fingerprint, :class:`TraceConfig` is a frozen
-    dataclass), so the same callable drives the serial path and the
-    process pool.
-    """
-    if store is None:
-        if trace is None:
-            return execute_experiment_settled
-        return functools.partial(execute_experiment_settled, trace=trace)
-    return functools.partial(execute_experiment_settled_store, store,
-                             trace=trace)
+    return result
 
 
 class ExecutionBackend(abc.ABC):
-    """How a Runner turns experiment specs into results."""
+    """How a Runner turns experiment specs into settled outcomes."""
 
     name = "abstract"
 
     @abc.abstractmethod
-    def run_all(self, experiments: Sequence[Experiment]) -> List[SimulationResult]:
-        """Execute every experiment; results align with the input order."""
-
     def run_all_settled(self, experiments: Sequence[Experiment],
                         store=None,
                         trace: Optional[TraceConfig] = None,
                         progress: Optional[ProgressFn] = None) -> List[Settled]:
-        """Like :meth:`run_all`, but failures isolate to their point.
+        """Execute every experiment; outcomes align with the input order.
 
-        ``store`` (a :class:`~repro.api.store.ResultStore`) turns on
-        per-point write-through: each success is persisted by the worker
-        that computed it, as it finishes.  ``trace`` overlays an
-        observability config on execution without touching the specs (see
-        :func:`execute_experiment`).  ``progress`` is called with the
-        number of points that just settled, as they settle.
+        Each point settles through :func:`settle`: failures isolate to
+        their point, and ``store`` turns on per-point write-through.
+        ``trace`` overlays an observability config on execution without
+        touching the specs (see :func:`execute_experiment`).
+        ``progress`` is called with the number of points that just
+        settled, as they settle.
         """
-        fn = _settled_fn(store, trace)
-        if progress is None:
-            return [fn(e) for e in experiments]
-        settled: List[Settled] = []
-        for experiment in experiments:
-            settled.append(fn(experiment))
-            progress(1)
-        return settled
-
-    def run(self, experiment: Experiment) -> SimulationResult:
-        return self.run_all([experiment])[0]
 
 
 class SerialBackend(ExecutionBackend):
@@ -163,8 +126,16 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run_all(self, experiments: Sequence[Experiment]) -> List[SimulationResult]:
-        return [execute_experiment(e) for e in experiments]
+    def run_all_settled(self, experiments: Sequence[Experiment],
+                        store=None,
+                        trace: Optional[TraceConfig] = None,
+                        progress: Optional[ProgressFn] = None) -> List[Settled]:
+        settled: List[Settled] = []
+        for experiment in experiments:
+            settled.append(settle(experiment, store, trace))
+            if progress is not None:
+                progress(1)
+        return settled
 
 
 def backend_for(jobs: int,
@@ -184,51 +155,45 @@ class ProcessPoolBackend(ExecutionBackend):
     """Fan experiments across a :mod:`multiprocessing` worker pool.
 
     Args:
-        jobs: worker count; defaults to the machine's CPU count.
-        chunksize: experiments handed to a worker at a time.  1 balances
-            best when run times differ wildly across a sweep (strict
-            models at high scope counts run much longer than Naive at
-            low ones).
-        timeout_s: per-point wall-clock budget for *settled* batches.  A
-            point that exceeds it settles as an
-            :class:`ExperimentFailure` instead of wedging the whole
-            batch; the hung child is killed when the pool closes.  The
-            budget is measured from when the batch starts waiting on
-            that point, so it bounds wait-per-point, not total wall.
+        jobs: worker count; defaults to the machine's CPU count.  Points
+            are handed out one at a time, which balances best when run
+            times differ wildly across a sweep (strict models at high
+            scope counts run much longer than Naive at low ones).
+        timeout_s: per-point wall-clock budget.  A point that exceeds it
+            settles as an :class:`ExperimentFailure` instead of wedging
+            the whole batch; the hung child is killed when the pool
+            closes.  The budget is measured from when the batch starts
+            waiting on that point, so it bounds wait-per-point, not
+            total wall.
     """
 
     name = "process-pool"
 
-    def __init__(self, jobs: Optional[int] = None, chunksize: int = 1,
+    def __init__(self, jobs: Optional[int] = None,
                  timeout_s: Optional[float] = None) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.chunksize = chunksize
         self.timeout_s = timeout_s
-
-    def run_all(self, experiments: Sequence[Experiment]) -> List[SimulationResult]:
-        return self._map(execute_experiment, experiments)
 
     def run_all_settled(self, experiments: Sequence[Experiment],
                         store=None,
                         trace: Optional[TraceConfig] = None,
                         progress: Optional[ProgressFn] = None) -> List[Settled]:
-        fn = _settled_fn(store, trace)
-        if self.timeout_s is None and progress is None:
-            return self._map(fn, experiments)
         experiments = list(experiments)
-        if not experiments:
-            return []
-        workers = max(1, min(self.jobs, len(experiments)))
-        ctx = self._context()
+        workers = min(self.jobs, len(experiments))
+        if workers == 0 or (workers == 1 and self.timeout_s is None):
+            # Nothing to fan out, and no timeout that needs a child
+            # process to abandon: run in-process.
+            return SerialBackend().run_all_settled(
+                experiments, store, trace, progress)
+        fn = functools.partial(settle, store=store, trace=trace)
         # Exiting the `with` terminates the pool, killing any child
-        # still stuck on a timed-out point.  Progress reporting rides
-        # the same per-point apply_async path as the timeout: points
-        # are collected (and reported) in input order as they finish.
-        with ctx.Pool(processes=workers) as pool:
+        # still stuck on a timed-out point.  Points are collected (and
+        # reported) in input order as they finish.
+        with self._context().Pool(processes=workers) as pool:
             pending = [pool.apply_async(fn, (e,)) for e in experiments]
             settled: List[Settled] = []
             for experiment, result in zip(experiments, pending):
@@ -243,15 +208,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 if progress is not None:
                     progress(1)
             return settled
-
-    def _map(self, fn, experiments: Sequence[Experiment]) -> List:
-        experiments = list(experiments)
-        workers = min(self.jobs, len(experiments))
-        if workers <= 1:
-            return [fn(e) for e in experiments]
-        ctx = self._context()
-        with ctx.Pool(processes=workers) as pool:
-            return pool.map(fn, experiments, chunksize=self.chunksize)
 
     @staticmethod
     def _context():

@@ -9,25 +9,24 @@ The subcommands (``--log-level LEVEL`` before any of them, or
     repro-bench sweep list
     repro-bench sweep list-points CAMPAIGN
     repro-bench sweep run CAMPAIGN [--jobs N|auto] [--output FILE]
-                          [--report FILE] [--resume FILE] [--store DIR]
+                          [--report FILE] [--store DIR]
                           [--timeout-s N] [--trace] [--no-progress]
         Declarative campaigns: expand a registered campaign (or a JSON
         campaign file) into its experiment grid and execute it with
         per-point failure isolation.  ``--output`` writes the campaign
         JSON artifact (results + digest), ``--report`` renders the
-        figure-grade Markdown report (EXPERIMENTS.md), ``--resume``
-        pre-seeds the run from an earlier artifact so only missing or
-        previously failed points simulate.  ``--store DIR`` (default:
-        ``$REPRO_STORE``) attaches the persistent result store: points
-        already on disk hydrate without simulating, fresh points persist
-        as they finish -- any campaign resumes across sessions without
-        an artifact file.  ``--timeout-s`` bounds each point's wall
-        clock (a hung point fails settled instead of wedging the batch).
-        ``--trace`` overlays stall-attribution tracing on execution
-        (spec hashes, store keys and the campaign digest are unchanged;
-        observation never perturbs results) so the report gains a
-        per-point stall table; a progress line with ETA streams to
-        stderr unless ``--no-progress``.
+        figure-grade Markdown report (EXPERIMENTS.md).  ``--store DIR``
+        (default: ``$REPRO_STORE``) attaches the persistent result
+        store: points already on disk hydrate without simulating, fresh
+        points persist as they finish, so any campaign resumes across
+        sessions and only missing or previously failed points simulate.
+        ``--timeout-s`` bounds each point's wall clock (a hung point
+        fails settled instead of wedging the batch).  ``--trace``
+        overlays stall-attribution tracing on execution (spec hashes,
+        store keys and the campaign digest are unchanged; observation
+        never perturbs results) so the report gains a per-point stall
+        table; a progress line with ETA streams to stderr unless
+        ``--no-progress``.
 
     repro-bench trace run WORKLOAD [--model NAME] [--num-scopes N]
                           [--param key=value ...] [--preset scaled|paper]
@@ -68,30 +67,20 @@ The subcommands (``--log-level LEVEL`` before any of them, or
     repro-bench store stats|verify [--store DIR]
     repro-bench store prune [--store DIR] [--max-age-days N] [--stale]
                             [--fingerprint FP]
-    repro-bench store export CAMPAIGN --output FILE [--store DIR]
-        Inspect the persistent store, garbage-collect it by age or by
-        code fingerprint, or export a campaign's stored points as a
-        ``--resume``-compatible JSON artifact.
-
-    repro-bench run WORKLOAD [--models atomic,scope,...] [--num-scopes 4,8]
-                    [--param key=value ...] [--preset scaled|paper]
-                    [--jobs N] [--max-events N] [--variant TAG]
-        Run the named workload under each model x scope-count point and
-        print the headline statistics.  ``--jobs N`` fans the sweep over
-        N worker processes through the ProcessPoolBackend.
+        Inspect the persistent store, or garbage-collect it by age or by
+        code fingerprint.
 
 Examples::
 
-    repro-bench run litmus --models naive,atomic --jobs 2
-    repro-bench run ycsb --num-scopes 4,8 --param num_ops=30
-    repro-bench run tpch --param query=q6 --param scale=0.015625
     repro-bench sweep run smoke --jobs 2 --output smoke.json
     repro-bench sweep run paper-grid --jobs auto --report EXPERIMENTS.md
     repro-bench sweep run paper-grid --store ~/.cache/repro-store
     repro-bench store stats --store ~/.cache/repro-store
+    repro-bench trace run tpch --param query=q6 --param scale=0.015625
 
-For YCSB, ``num_records`` defaults to ``2000 * num_scopes`` (the
-benchmark harness's scaled sweep density) unless given via ``--param``.
+For YCSB, ``trace run`` defaults ``num_records`` to ``2000 *
+num_scopes`` (the benchmark harness's scaled sweep density) unless given
+via ``--param``.
 """
 
 from __future__ import annotations
@@ -104,15 +93,13 @@ from typing import Dict, List, Optional, Sequence
 from repro.api.backends import backend_for
 from repro.api.experiment import Experiment
 from repro.api.registry import REGISTRY
-from repro.api.results import headline
-from repro.api.runner import Runner
 from repro.core.models import ConsistencyModel
 
-#: Figure order for --models all (the six models of the evaluation sweeps).
+#: Figure order for --model all (the six models of the evaluation sweeps).
 DEFAULT_MODELS = ["naive", "sw-flush", "atomic", "store", "scope",
                   "scope-relaxed"]
 
-#: Records per scope used when the YCSB sweep doesn't pin num_records.
+#: Records per scope used when a YCSB trace doesn't pin num_records.
 YCSB_RECORDS_PER_SCOPE = 2000
 
 
@@ -181,9 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--append", action="store_true",
                       help="append to --report instead of overwriting "
                            "(stacks several campaigns into one file)")
-    srun.add_argument("--resume", default=None, metavar="FILE",
-                      help="pre-seed from an earlier --output artifact; "
-                           "only missing/failed points simulate")
     srun.add_argument("--store", default=None, metavar="DIR",
                       help="persistent result store directory (default: "
                            "$REPRO_STORE); stored points hydrate without "
@@ -309,9 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stsub = store.add_subparsers(dest="store_command", required=True)
     for name, doc in (("stats", "entry counts, size, fingerprints"),
                       ("verify", "check every entry's integrity"),
-                      ("prune", "garbage-collect entries"),
-                      ("export", "write a campaign's stored points as a "
-                                 "--resume artifact")):
+                      ("prune", "garbage-collect entries")):
         sp = stsub.add_parser(name, help=doc)
         sp.add_argument("--store", default=None, metavar="DIR",
                         help="store directory (default: $REPRO_STORE)")
@@ -329,30 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--dry-run", action="store_true",
                             help="list what would be pruned without "
                                  "removing anything")
-        if name == "export":
-            sp.add_argument("campaign",
-                            help="registered campaign name or JSON "
-                                 "campaign file")
-            sp.add_argument("--output", required=True, metavar="FILE",
-                            help="artifact file to write")
-
-    run = sub.add_parser("run", help="run a workload sweep")
-    run.add_argument("workload", help="registered workload name")
-    run.add_argument("--models", default="all",
-                     help="comma-separated consistency models, or 'all'")
-    run.add_argument("--num-scopes", default=None,
-                     help="comma-separated scope counts to sweep "
-                          "(default: 4; for tpch, the query's scaled "
-                          "scope count)")
-    run.add_argument("--param", action="append", default=[],
-                     metavar="KEY=VALUE", help="workload parameter")
-    run.add_argument("--preset", default="scaled",
-                     choices=("scaled", "paper"),
-                     help="base system configuration")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (>1 uses the process pool)")
-    run.add_argument("--max-events", type=int, default=200_000_000)
-    run.add_argument("--variant", default="cli")
     return parser
 
 
@@ -418,8 +376,9 @@ def _cmd_list() -> int:
 def _default_scopes(workload: str, params: Dict[str, object]) -> int:
     """A scope count that actually fits the workload's parameters.
 
-    TPC-H queries pin their own scope need (Table IV x scale), so the
-    sweep must start there; everything else defaults to 4.
+    TPC-H queries pin their own scope need (Table IV x scale), so a
+    traced system must have at least that many; everything else
+    defaults to 4.
     """
     if workload == "tpch":
         workload_obj = REGISTRY.create("tpch", params)
@@ -512,28 +471,17 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     from repro.analysis.report import (campaign_markdown, format_table,
                                        latency_table, stalls_table)
     from repro.api.runner import Runner
-    from repro.api.sweep import load_results, run_campaign
+    from repro.api.sweep import run_campaign
     from repro.sim.config import TraceConfig
 
     campaign = _load_campaign(args.campaign)
     jobs = _parse_jobs(args.jobs)
-    resume = None
-    if args.resume is not None:
-        try:
-            with open(args.resume, "r", encoding="utf-8") as handle:
-                resume = load_results(json.load(handle))
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(
-                f"cannot resume from {args.resume!r}: {exc}") from None
-
     points = campaign.points()
     hashes = {p.experiment.spec_hash() for p in points}
-    cached = len(hashes & set(resume)) if resume else 0
     store = _store_from_args(args)
     backend = backend_for(jobs, timeout_s=args.timeout_s)
     print(f"campaign {campaign.name}: {len(points)} points "
-          f"({len(hashes)} unique, {cached} from cache) "
-          f"on the {backend.name} backend"
+          f"({len(hashes)} unique) on the {backend.name} backend"
           + (f", store {store.root}" if store is not None else ""))
 
     # Stall attribution only: no event ring, so traced store entries
@@ -543,8 +491,8 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     progress = None if args.no_progress else _sweep_progress(len(points))
 
     runner = Runner(backend=backend, store=store)
-    result = run_campaign(campaign, runner=runner, resume=resume,
-                          trace=trace, progress=progress)
+    result = run_campaign(campaign, runner=runner, trace=trace,
+                          progress=progress)
     headers, rows = result.table()
     print(format_table(headers, rows, title=f"{campaign.name} campaign"))
     latency = latency_table(result)
@@ -684,11 +632,11 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
                          "--model NAME (got {})".format(args.model))
     model = models[0]
     params = _parse_params(args.param)
-    num_scopes = (args.num_scopes if args.num_scopes is not None
-                  else _default_scopes(args.workload, params))
-    if args.workload == "ycsb" and "num_records" not in params:
-        params["num_records"] = YCSB_RECORDS_PER_SCOPE * num_scopes
     try:
+        num_scopes = (args.num_scopes if args.num_scopes is not None
+                      else _default_scopes(args.workload, params))
+        if args.workload == "ycsb" and "num_records" not in params:
+            params["num_records"] = YCSB_RECORDS_PER_SCOPE * num_scopes
         experiment = Experiment.from_dict({
             "workload": args.workload,
             "params": params,
@@ -903,41 +851,11 @@ def _cmd_store_prune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_export(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.api.sweep import CampaignResult, PointResult
-
-    store = _require_store(args)
-    campaign = _load_campaign(args.campaign)
-    points = campaign.points()
-    hydrated = store.get_many({p.experiment.spec_hash() for p in points})
-    result = CampaignResult(campaign, [
-        PointResult(
-            name=p.name, sweep=p.sweep, coords=p.coords,
-            experiment=p.experiment,
-            result=hydrated.get(p.experiment.spec_hash()),
-            error=(None if p.experiment.spec_hash() in hydrated
-                   else "not in store"),
-        )
-        for p in points
-    ])
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(result.to_json_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"exported {len(result.ok_points)} of {len(points)} points "
-          f"to {args.output}"
-          + (f" ({len(result.failed_points)} not in store)"
-             if result.failed_points else ""))
-    return 0
-
-
 def _cmd_store(args: argparse.Namespace) -> int:
     return {
         "stats": _cmd_store_stats,
         "verify": _cmd_store_verify,
         "prune": _cmd_store_prune,
-        "export": _cmd_store_export,
     }[args.store_command](args)
 
 
@@ -1068,65 +986,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     }[args.fuzz_command](args)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.workload not in REGISTRY.names():
-        raise SystemExit(
-            f"unknown workload {args.workload!r}; "
-            f"registered: {', '.join(REGISTRY.names())}"
-        )
-    models = _parse_models(args.models)
-    base_params = _parse_params(args.param)
-    try:
-        if args.num_scopes is not None:
-            scope_counts = [int(s) for s in args.num_scopes.split(",")
-                            if s.strip()]
-            if not scope_counts:
-                raise ValueError("--num-scopes is empty")
-        else:
-            scope_counts = [_default_scopes(args.workload, base_params)]
-
-        experiments = []
-        for num_scopes in scope_counts:
-            params = dict(base_params)
-            if args.workload == "ycsb" and "num_records" not in params:
-                params["num_records"] = YCSB_RECORDS_PER_SCOPE * num_scopes
-            for model in models:
-                experiments.append(Experiment.from_dict({
-                    "workload": args.workload,
-                    "params": params,
-                    "config": {"preset": args.preset, "model": model.value,
-                               "num_scopes": num_scopes},
-                    "variant": args.variant,
-                    "max_events": args.max_events,
-                }))
-        # Fail fast on bad workload parameters, before any simulation.
-        experiments[0].build_workload()
-    except (TypeError, KeyError, ValueError) as exc:
-        raise SystemExit(
-            f"invalid parameters for workload {args.workload!r}: {exc}"
-        ) from None
-
-    backend = backend_for(args.jobs)
-    print(f"{len(experiments)} experiments "
-          f"({len(models)} models x {len(scope_counts)} scope counts) "
-          f"on the {backend.name} backend")
-    results = Runner(backend=backend).run_all(experiments)
-
-    from repro.analysis.report import format_table
-    columns = ["workload", "scopes", "model", "run_time", "stale_reads",
-               "sb_hit_rate", "scan_latency", "pim_ops"]
-    rows = []
-    for exp, res in zip(experiments, results):
-        h = headline(res)
-        rows.append([
-            exp.workload, exp.config.num_scopes, h["model"], h["run_time"],
-            h["stale_reads"], f"{h['scope_buffer_hit_rate']:.3f}",
-            f"{h['llc_scan_latency']:.1f}", h["pim_ops_executed"],
-        ])
-    print(format_table(columns, rows, title=f"{args.workload} sweep"))
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     _configure_logging(args.log_level)
@@ -1138,9 +997,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_store(args)
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-    return _cmd_run(args)
+    return _cmd_fuzz(args)
 
 
 if __name__ == "__main__":

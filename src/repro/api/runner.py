@@ -10,15 +10,19 @@ serves them through a two-tier cache:
 * an optional **persistent store** behind it
   (:class:`~repro.api.store.ResultStore`) -- results survive the
   process, so sessions, CI jobs and concurrent shards pointing at the
-  same directory share one cache.
+  same directory share one cache.  The store is the only way a run
+  resumes another's work.
 
 Either way the backend only ever sees the remaining misses, in input
-order, as exactly one dispatch per batch.
+order, as exactly one settled dispatch per batch.
+:meth:`Runner.run_settled` reports each point's failure as data;
+:meth:`Runner.run_all` is the same batch plus a :class:`RuntimeError`
+once every success is stored.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.backends import (
     ExecutionBackend,
@@ -38,21 +42,17 @@ class Runner:
 
     Args:
         backend: execution strategy; defaults to :class:`SerialBackend`.
-        cache: keep completed results in memory keyed by spec hash.
-            Disable for memory-constrained bulk sweeps whose results are
-            consumed immediately (the persistent store, if any, still
-            serves and collects results).
         store: persistent result store behind the memory cache -- a
             :class:`~repro.api.store.ResultStore` or a directory path.
             Batch execution consults it for every memory miss before
-            dispatching, and writes every fresh success back.
+            dispatching, and the executing worker writes every fresh
+            success back.
     """
 
     def __init__(self, backend: Optional[ExecutionBackend] = None,
-                 cache: bool = True,
                  store: Union[ResultStore, str, None] = None) -> None:
         self.backend = backend if backend is not None else SerialBackend()
-        self._cache: Optional[Dict[str, SimulationResult]] = {} if cache else None
+        self._cache: Dict[str, SimulationResult] = {}
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
@@ -76,39 +76,33 @@ class Runner:
     def run_all(self, experiments: Iterable[Experiment]) -> List[SimulationResult]:
         """Run a sweep; results align with the input order.
 
-        Cache hits (memory first, then the store) are served without
-        touching the backend; duplicate specs within the sweep execute
-        once.  A batch mixing cached and uncached points still makes
-        exactly one backend dispatch, of the misses only, so resumed
-        campaigns keep their sharding.
+        The batch path of :meth:`run_settled`.  If any point fails, a
+        :class:`RuntimeError` naming the first failed point's spec hash
+        is raised -- only after the whole batch settled, so every
+        success is already cached and stored.
         """
-        hashes, memo, missing = self._partition(experiments)
-        if missing:
-            self.dispatch_count += len(missing)
-            results = self.backend.run_all(list(missing.values()))
-            memo.update(zip(missing.keys(), results))
-            if self.store is not None:
-                for h, result in zip(missing.keys(), results):
-                    try:
-                        self.store.put(h, result, missing[h])
-                    except OSError:
-                        # Store I/O never fails the batch: the results
-                        # are already computed and the memory tier
-                        # serves them for this session.
-                        pass
-        return [memo[h] for h in hashes]
+        hashes, failed = self._settle(experiments)
+        if failed:
+            spec_hash, error = next(iter(failed.items()))
+            raise RuntimeError(
+                f"{len(failed)} of {len(set(hashes))} points failed; "
+                f"first: {spec_hash}\n{error}")
+        return [self._cache[h] for h in hashes]
 
     def run_settled(self, experiments: Iterable[Experiment],
                     trace=None, progress=None) -> List[Outcome]:
         """Run a sweep with per-point failure isolation.
 
-        Same batch path as :meth:`run_all` -- one dispatch of the cache
-        misses -- but a point that fails reports ``(None, traceback)``
-        instead of aborting the batch.  Only successes enter the caches,
-        so a resumed campaign retries exactly its failures.  With a
-        store attached, successes are written through by the executing
-        worker itself, so a campaign killed mid-batch keeps every point
-        that finished.
+        Cache hits (memory first, then the store) are served without
+        touching the backend; duplicate specs within the sweep execute
+        once.  A batch mixing cached and uncached points makes exactly
+        one backend dispatch, of the misses only, so resumed campaigns
+        keep their sharding.  A point that fails reports ``(None,
+        traceback)`` instead of aborting the batch.  Only successes
+        enter the caches, so a resumed campaign retries exactly its
+        failures.  With a store attached, successes are written through
+        by the executing worker itself, so a campaign killed mid-batch
+        keeps every point that finished.
 
         ``trace`` (a :class:`~repro.sim.config.TraceConfig`) overlays
         observability on execution without changing spec hashes -- cache
@@ -117,7 +111,34 @@ class Runner:
         are reported upfront, and duplicate specs count as many points
         as they serve.
         """
-        hashes, memo, missing = self._partition(experiments)
+        hashes, failed = self._settle(experiments, trace, progress)
+        return [(self._cache.get(h), failed.get(h)) for h in hashes]
+
+    def _settle(self, experiments: Iterable[Experiment], trace=None,
+                progress=None) -> Tuple[List[str], Dict[str, str]]:
+        """The one batch path: ``(spec hashes, spec hash -> error)``.
+
+        Every success lands in the memory cache (and, through the
+        backend's write-through, in the store); the returned dict holds
+        the failures, in input order.  :meth:`run_all` and
+        :meth:`run_settled` both call this rather than each other, so a
+        wrapper around either sees one call per batch.
+        """
+        experiments = list(experiments)
+        hashes = [e.spec_hash() for e in experiments]
+        cache = self._cache
+        missing: Dict[str, Experiment] = {}
+        for h, e in zip(hashes, experiments):
+            if h not in cache:
+                missing.setdefault(h, e)
+        if missing and self.store is not None:
+            hydrated = self.store.get_many(missing.keys())
+            if hydrated:
+                self.store_hits += len(hydrated)
+                cache.update(hydrated)
+                for h in hydrated:
+                    del missing[h]
+
         backend_progress = None
         if progress is not None:
             # Per-unique-spec dup weights, consumed in dispatch order so
@@ -131,8 +152,7 @@ class Runner:
                     cached += 1
             if cached:
                 progress(cached)
-            queue = [weights[h] for h in missing]
-            it = iter(queue)
+            it = iter([weights[h] for h in missing])
 
             def backend_progress(n: int) -> None:
                 progress(sum(next(it, 1) for _ in range(n)))
@@ -147,7 +167,7 @@ class Runner:
                 if isinstance(outcome, ExperimentFailure):
                     failed[h] = outcome.error
                 else:
-                    memo[h] = outcome
+                    cache[h] = outcome
             if failed and self.store is not None:
                 # Reconcile against the store before reporting failure.
                 # A pool child that hit --timeout-s may have finished its
@@ -157,70 +177,7 @@ class Runner:
                 # reaches the store, so this rescues only such points.
                 rescued = self.store.get_many(list(failed))
                 for h, result in rescued.items():
-                    memo[h] = result
+                    cache[h] = result
                     del failed[h]
                 self.reconciled += len(rescued)
-        return [(memo.get(h), failed.get(h)) for h in hashes]
-
-    def _partition(self, experiments: Iterable[Experiment]):
-        """Hash the batch and split it into (hashes, memo, misses).
-
-        ``memo`` is the live memory cache (or a throwaway dict with
-        caching off: the batch still dedupes, but nothing persists
-        across calls); ``misses`` maps spec hash -> experiment for the
-        points the backend must actually run, in input order, each
-        unique spec once.  Memory misses consult the persistent store
-        before landing in ``misses``.
-        """
-        experiments = list(experiments)
-        hashes = [e.spec_hash() for e in experiments]
-        memo = self._cache if self._cache is not None else {}
-        missing: Dict[str, Experiment] = {}
-        for h, e in zip(hashes, experiments):
-            if h not in memo:
-                missing.setdefault(h, e)
-        if missing and self.store is not None:
-            hydrated = self.store.get_many(missing.keys())
-            if hydrated:
-                self.store_hits += len(hydrated)
-                memo.update(hydrated)
-                for h in hydrated:
-                    del missing[h]
-        return hashes, memo, missing
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache) if self._cache is not None else 0
-
-    def preload(self, results: Mapping[str, SimulationResult]) -> int:
-        """Seed the memory cache with spec-hash-keyed results (campaign
-        resume).  Returns how many entries were installed.
-
-        Raises with caching disabled: a silently dropped preload would
-        make campaign resume re-simulate everything it was handed.
-        """
-        if self._cache is None:
-            if self.store is not None:
-                where = (f"store at {self.store.root!r} (fingerprint "
-                         f"{self.store.fingerprint}) still serves misses, but")
-            else:
-                where = "no store is attached, so"
-            raise RuntimeError(
-                "Runner.preload() needs the memory cache: this Runner was "
-                f"built with cache=False, so {where} the preloaded results "
-                "would be dropped and every point would silently re-simulate")
-        self._cache.update(results)
-        return len(results)
-
-    def cached(self, experiment: Experiment) -> Optional[SimulationResult]:
-        """The memory-cached result for a spec, or ``None``."""
-        if self._cache is None:
-            return None
-        return self._cache.get(experiment.spec_hash())
-
-    def clear_cache(self) -> None:
-        """Drop the memory tier (the persistent store is untouched)."""
-        if self._cache is not None:
-            self._cache.clear()
+        return hashes, failed

@@ -3,7 +3,8 @@
 
 The Runner's in-memory spec-hash cache dies with the process; this store
 is the tier behind it, shared by every session, CI job and worker
-process that points at the same directory.  A warm store turns the
+process that points at the same directory, and the only way one run
+resumes another's work.  A warm store turns the
 paper-grid campaign from minutes of simulation into milliseconds of
 lookup (``repro-bench sweep run paper-grid --store DIR`` twice: the
 second run makes zero backend dispatches).
@@ -43,7 +44,7 @@ Each file is a standalone JSON document (no pickle anywhere)::
       "schema":        "repro-store-entry/1",
       "spec_hash":     "...",              # the experiment's spec hash
       "fingerprint":   "...",              # code/format fingerprint
-      "experiment":    {...} | null,       # spec dict, for inspection/export
+      "experiment":    {...} | null,       # spec dict, for inspection
       "result":        {...},              # SimulationResult.to_dict()
       "result_sha256": "..."               # digest of "result", verified on read
     }
@@ -324,13 +325,6 @@ class ResultStore:
         }
         return atomic_write_json(self.path(spec_hash), entry)
 
-    def put_many(self, results: Dict[str, SimulationResult],
-                 experiments: Optional[Dict[str, object]] = None) -> int:
-        for spec_hash, result in results.items():
-            experiment = (experiments or {}).get(spec_hash)
-            self.put(spec_hash, result, experiment)
-        return len(results)
-
     # -- maintenance ----------------------------------------------------- #
 
     def paths(self) -> Iterator[str]:
@@ -455,9 +449,8 @@ class ResultStore:
         ``stale`` selects every entry whose fingerprint is not this
         store's (results no older kernel can ever serve again);
         ``fingerprint`` selects every entry recorded under that exact
-        fingerprint (the targeted form ``sweep run --resume`` suggests
-        when an artifact's engine no longer matches).  With no selector
-        set, nothing is selected.
+        fingerprint (one retired engine generation, while others stay).
+        With no selector set, nothing is selected.
         """
         if max_age_days is None and not stale and fingerprint is None:
             return []

@@ -9,7 +9,7 @@ access skews.  This module turns those grids into data:
 * a :class:`Sweep` combines a base experiment template with axes --
   grid products by default, :attr:`~Sweep.zip_groups` for axes that
   advance together (e.g. scope count and the record count derived from
-  it) -- plus optional point filters, and expands into frozen
+  it) -- and expands into frozen
   :class:`~repro.api.experiment.Experiment` specs with stable per-point
   names;
 * a :class:`Campaign` is a named set of sweeps with :class:`Pivot`
@@ -17,10 +17,11 @@ access skews.  This module turns those grids into data:
 * :func:`run_campaign` executes a campaign through a
   :class:`~repro.api.runner.Runner` on any backend -- identical points
   dedupe via the spec-hash cache, batches shard across process-pool
-  workers, and one failed point reports instead of aborting the run;
+  workers, one failed point reports instead of aborting the run, and a
+  result store (``--store``) resumes it across sessions;
 * a :class:`CampaignResult` aggregates the outcomes: headline tables,
-  pivoted series, a machine-independent result digest, and a JSON round
-  trip that later runs resume from (``--resume``).
+  pivoted series, a machine-independent result digest, and a JSON
+  artifact (``--output``).
 
 Campaigns used by CI and the checked-in ``EXPERIMENTS.md`` are
 registered in :data:`CAMPAIGNS`; ``repro-bench sweep`` is the CLI.
@@ -171,12 +172,6 @@ class Sweep:
         axes: the swept dimensions, grid-crossed in declaration order.
         zip_groups: tuples of axis names that advance together instead of
             crossing (all axes of a group need equally many values).
-        filters: predicates over the ``{axis name: value}`` coordinate
-            dict; a point every filter accepts survives expansion.
-        transform: in-process hook ``(experiment, coords) -> experiment``
-            applied after expansion, for overrides (such as the benchmark
-            harness's config functions) that plain data cannot express.
-            Sweeps carrying filters or a transform are not serializable.
     """
 
     def __init__(
@@ -185,15 +180,11 @@ class Sweep:
         base: Mapping[str, object],
         axes: Sequence[Axis] = (),
         zip_groups: Sequence[Sequence[str]] = (),
-        filters: Sequence[Callable[[Dict[str, object]], bool]] = (),
-        transform: Optional[Callable[[Experiment, Dict[str, object]], Experiment]] = None,
     ) -> None:
         self.name = name
         self.base = dict(base)
         self.axes = tuple(axes)
         self.zip_groups = tuple(tuple(g) for g in zip_groups)
-        self.filters = tuple(filters)
-        self.transform = transform
         self._validate()
 
     def _validate(self) -> None:
@@ -238,7 +229,7 @@ class Sweep:
     # ------------------------------------------------------------------ #
 
     def points(self) -> List[SweepPoint]:
-        """Expand into named points, grid x zip, filters applied."""
+        """Expand into named points, grid x zip."""
         by_name = {a.name: a for a in self.axes}
         dims: List[List[Tuple[Tuple[Axis, object], ...]]] = []
         emitted_groups = set()
@@ -256,15 +247,9 @@ class Sweep:
         out: List[SweepPoint] = []
         for combo in itertools.product(*dims):
             assignments = [pair for cell in combo for pair in cell]
-            coords = {axis.name: value for axis, value in assignments}
-            if not all(accept(coords) for accept in self.filters):
-                continue
             data = _copy_tree(self.base)
             for axis, value in assignments:
                 _set_path(data, axis.resolved_path(), _spec_value(value))
-            experiment = Experiment.from_dict(data)
-            if self.transform is not None:
-                experiment = self.transform(experiment, dict(coords))
             label = ",".join(
                 f"{axis.name}={_token(value)}"
                 for axis, value in assignments if not axis.hidden
@@ -272,8 +257,8 @@ class Sweep:
             out.append(SweepPoint(
                 name=f"{self.name}/{label}" if label else self.name,
                 sweep=self.name,
-                coords=coords,
-                experiment=experiment,
+                coords={axis.name: value for axis, value in assignments},
+                experiment=Experiment.from_dict(data),
             ))
         return out
 
@@ -284,10 +269,6 @@ class Sweep:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> Dict[str, object]:
-        if self.filters or self.transform is not None:
-            raise ValueError(
-                f"sweep {self.name!r} carries filters/transform and is "
-                f"not serializable")
         return {
             "name": self.name,
             "base": _copy_tree(self.base),
@@ -466,19 +447,6 @@ def _result_value(result: SimulationResult, key: str):
     return getattr(result, key)
 
 
-def result_to_dict(result: SimulationResult) -> Dict[str, object]:
-    """A JSON round-trippable snapshot of one simulation result.
-
-    Thin alias of :meth:`SimulationResult.to_dict` -- the versioned
-    serialization the persistent store shares.
-    """
-    return result.to_dict()
-
-
-def result_from_dict(data: Mapping[str, object]) -> SimulationResult:
-    return SimulationResult.from_dict(data)
-
-
 class CampaignResult:
     """Aggregated campaign outcomes: tables, pivoted series, digest."""
 
@@ -541,7 +509,7 @@ class CampaignResult:
     def series(self, pivot: Pivot):
         """Pivot into ``(xs, {series name: [values]})`` for one figure.
 
-        Points missing from the grid (failed or filtered) yield ``None``
+        Points missing from the grid (failed ones) yield ``None``
         holes; with ``normalize_to`` set, every series divides by the
         baseline series point-for-point.
         """
@@ -643,7 +611,7 @@ class CampaignResult:
             ])
         return headers, rows
 
-    # -- JSON artifact / resume ------------------------------------------ #
+    # -- JSON artifact --------------------------------------------------- #
 
     def to_json_dict(self) -> Dict[str, object]:
         from repro.api.store import code_fingerprint
@@ -662,7 +630,7 @@ class CampaignResult:
                                for k, v in p.coords.items()},
                     "experiment": p.experiment.to_dict(),
                     "result": None if p.result is None
-                    else result_to_dict(p.result),
+                    else p.result.to_dict(),
                     "error": p.error,
                 }
                 for p in self.points
@@ -670,45 +638,10 @@ class CampaignResult:
         }
 
 
-def load_results(data: Mapping[str, object]) -> Dict[str, SimulationResult]:
-    """Spec-hash -> result mapping from a campaign JSON artifact.
-
-    Failed points carry no result and are skipped, so resuming retries
-    exactly them.  An artifact recorded under a different engine
-    fingerprint is refused outright: preloading it would silently serve
-    an older simulator's numbers as if the current one computed them.
-    (Artifacts predating the fingerprint field load unchecked.)
-    """
-    if data.get("schema") != SCHEMA:
-        raise ValueError(
-            f"not a campaign result artifact (schema {data.get('schema')!r},"
-            f" expected {SCHEMA!r})")
-    recorded = data.get("fingerprint")
-    if recorded is not None:
-        from repro.api.store import code_fingerprint
-
-        current = code_fingerprint()
-        if recorded != current:
-            raise ValueError(
-                f"artifact was computed by engine fingerprint {recorded} "
-                f"but the current engine is {current}: the simulator "
-                f"changed since this artifact was written, so its results "
-                f"cannot seed a resume.  Re-run the campaign (a --store "
-                f"hydrates everything still valid), and garbage-collect "
-                f"the old results with `repro-bench store prune "
-                f"--fingerprint {recorded}`")
-    out: Dict[str, SimulationResult] = {}
-    for point in data.get("points", ()):
-        if point.get("result") is not None:
-            out[point["spec_hash"]] = result_from_dict(point["result"])
-    return out
-
-
 def run_campaign(
     campaign: Campaign,
     runner: Optional[Runner] = None,
     jobs: Optional[int] = None,
-    resume: Optional[Mapping[str, SimulationResult]] = None,
     store=None,
     trace=None,
     progress=None,
@@ -717,16 +650,14 @@ def run_campaign(
 
     Identical points dedupe through the Runner's spec-hash cache; the
     batch shards across the backend's workers (``jobs`` > 1 selects the
-    process pool); ``resume`` pre-seeds the cache from an earlier run's
-    artifact so only the misses dispatch; one failed point reports in
-    its :class:`PointResult` while the rest of the campaign completes.
+    process pool); one failed point reports in its :class:`PointResult`
+    while the rest of the campaign completes.
 
     ``store`` (a :class:`~repro.api.store.ResultStore` or directory
     path) makes the run resumable across sessions: previously computed
     points hydrate from disk before any dispatch, fresh points persist
-    as they finish.  It generalizes the ``resume`` artifact path -- no
-    artifact file to thread through, any campaign sharing specs shares
-    the cache.  Pass it here or build the Runner yourself, not both.
+    as they finish, and any campaign sharing specs shares the entries.
+    Pass it here or build the Runner yourself, not both.
 
     ``trace`` (a :class:`~repro.sim.config.TraceConfig`) overlays
     observability on execution: results gain an ``obs`` payload (stall
@@ -743,8 +674,6 @@ def run_campaign(
             "pass the store to the Runner (Runner(store=...)) when "
             "supplying a runner; run_campaign(store=...) only applies to "
             "the runner it builds itself")
-    if resume:
-        runner.preload(resume)
     points = campaign.points()
     outcomes = runner.run_settled([p.experiment for p in points],
                                   trace=trace, progress=progress)

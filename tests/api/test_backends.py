@@ -37,8 +37,8 @@ def test_process_pool_matches_serial_exactly():
     """Simulations are deterministic and share nothing, so fanning a
     sweep over worker processes must not change a single statistic."""
     exps = _experiments()
-    serial = SerialBackend().run_all(exps)
-    pooled = ProcessPoolBackend(jobs=2).run_all(exps)
+    serial = SerialBackend().run_all_settled(exps)
+    pooled = ProcessPoolBackend(jobs=2).run_all_settled(exps)
     assert len(pooled) == len(serial) == len(exps)
     for s, p, exp in zip(serial, pooled, exps):
         assert p.config == exp.config  # order preserved
@@ -48,10 +48,13 @@ def test_process_pool_matches_serial_exactly():
         assert p.stats == s.stats
 
 
-def test_process_pool_single_job_falls_back_to_serial():
+def test_process_pool_single_job_falls_back_to_serial(monkeypatch):
+    """One job and no timeout: the points run in this process, no pool."""
     exps = _experiments()[:1]
-    assert (ProcessPoolBackend(jobs=1).run_all(exps)[0].run_time
+    monkeypatch.setattr(ProcessPoolBackend, "_context", None)
+    assert (ProcessPoolBackend(jobs=1).run_all_settled(exps)[0].run_time
             == execute_experiment(exps[0]).run_time)
+    assert ProcessPoolBackend(jobs=4).run_all_settled([]) == []
 
 
 def test_process_pool_rejects_bad_job_count():
@@ -113,8 +116,10 @@ def test_backends_produce_identical_stats_views():
     (not just the raw dicts) agree between backends, which relies on the
     per-run op-id reset in Simulator.reset_ids()."""
     exp = _experiments()[2]
-    serial = SerialBackend().run(exp)
-    pooled = ProcessPoolBackend(jobs=2).run_all([exp])[0]
+    serial, = SerialBackend().run_all_settled([exp])
+    # One point needs only one worker, which runs in-process unless a
+    # timeout asks for a child process the parent can abandon.
+    pooled, = ProcessPoolBackend(jobs=2, timeout_s=60).run_all_settled([exp])
     assert serial.llc.as_dict() == pooled.llc.as_dict()
     assert serial.pim.as_dict() == pooled.pim.as_dict()
     assert serial.mc.as_dict() == pooled.mc.as_dict()

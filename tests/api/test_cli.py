@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.api.cli import _default_scopes, _parse_models, _parse_params, main
+from repro.api.cli import (
+    _build_parser,
+    _default_scopes,
+    _parse_models,
+    _parse_params,
+    main,
+)
 from repro.core.models import ConsistencyModel
 from repro.workloads.tpch import TpchWorkload
 
@@ -15,31 +21,37 @@ def test_list_names_registered_workloads(capsys):
 
 
 def test_run_litmus_sweep_end_to_end(capsys):
-    assert main([
-        "run", "litmus", "--models", "naive,atomic", "--num-scopes", "2",
-        "--param", "rounds=3", "--param", "threads=2",
-    ]) == 0
+    """`sweep run smoke` runs the litmus sweep (naive and atomic, two
+    scopes, three rounds, two threads) through the CLI."""
+    assert main(["sweep", "run", "smoke", "--no-progress"]) == 0
     out = capsys.readouterr().out
-    assert "litmus sweep" in out
-    assert "naive" in out and "atomic" in out
+    assert "smoke campaign" in out
     # the atomic row reports zero stale reads; naive reports some
-    rows = {cells[2]: cells for cells in
+    rows = {cells[0]: cells for cells in
             (line.split() for line in out.splitlines())
-            if len(cells) >= 8 and cells[0] == "litmus"}
-    assert int(rows["atomic"][4]) == 0
-    assert int(rows["naive"][4]) > 0
+            if len(cells) >= 7 and cells[0].startswith("litmus/")}
+    assert int(rows["litmus/model=atomic"][2]) == 0
+    assert int(rows["litmus/model=naive"][2]) > 0
 
 
 def test_run_with_jobs_uses_process_pool(capsys):
-    assert main([
-        "run", "litmus", "--models", "naive,atomic", "--num-scopes", "2",
-        "--jobs", "2", "--param", "rounds=2",
-    ]) == 0
+    assert main(["sweep", "run", "smoke", "--jobs", "2",
+                 "--no-progress"]) == 0
     assert "process-pool backend" in capsys.readouterr().out
 
 
+def test_retired_commands_and_flags_do_not_parse(capsys):
+    """`sweep run` and the store are the only run and resume paths."""
+    for argv in (["run", "litmus"],
+                 ["sweep", "run", "smoke", "--resume", "smoke.json"],
+                 ["store", "export", "smoke", "--output", "smoke.json"]):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(argv)
+    capsys.readouterr()
+
+
 def test_default_scopes_fit_the_tpch_query():
-    """Without --num-scopes, a tpch run must size the system to the
+    """Without --num-scopes, a tpch trace must size the system to the
     query instead of crashing on the generic default."""
     params = {"query": "q6", "scale": 1 / 64}
     assert (_default_scopes("tpch", params)
@@ -49,15 +61,15 @@ def test_default_scopes_fit_the_tpch_query():
 
 def test_unknown_workload_exits_cleanly(capsys):
     with pytest.raises(SystemExit, match="unknown workload"):
-        main(["run", "nonesuch"])
+        main(["trace", "run", "nonesuch"])
 
 
 def test_bad_workload_params_exit_cleanly():
     """Missing or invalid workload params must not traceback."""
     with pytest.raises(SystemExit, match="invalid parameters"):
-        main(["run", "tpch"])  # tpch requires --param query=...
+        main(["trace", "run", "tpch"])  # tpch requires --param query=...
     with pytest.raises(SystemExit, match="not evaluated"):
-        main(["run", "tpch", "--param", "query=q99"])
+        main(["trace", "run", "tpch", "--param", "query=q99"])
 
 
 def test_parse_models():

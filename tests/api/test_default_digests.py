@@ -38,6 +38,12 @@ _TPCH_DIGEST = \
 _LITMUS_DIGEST = \
     "d0b5f233d1727dfe219f50c5f9ed30ae0f744996badf40bce71eef50c8d6eb08"
 
+#: Event budget of every gate below that set none before: a livelock
+#: fails the run at the budget instead of hanging tier-1.  The largest
+#: pinned run takes 127,695 events (ycsb-c-8core); result digests do not
+#: include the budget.
+PINNED_MAX_EVENTS = 1_000_000
+
 #: Name -> (spec, digest).  ``tpch-q6`` is left out: its spec is the
 #: TPC-H gate's below except for ``variant``, and its digest is
 #: ``_TPCH_DIGEST``.
@@ -50,6 +56,7 @@ _PINNED_CONFIGS = {
                    "seed": 7},
         "config": {"preset": "scaled", "model": "scope", "num_scopes": 4},
         "variant": "perf",
+        "max_events": PINNED_MAX_EVENTS,
     }, "e5d8bb9923f4fb9cf042e1e8884d9e0404e96ca19682aeb85765f206f370ccea"),
     "ycsb-mix": ({
         "workload": "ycsb",
@@ -57,12 +64,14 @@ _PINNED_CONFIGS = {
         "config": {"preset": "scaled", "model": "scope-relaxed",
                    "num_scopes": 8},
         "variant": "perf",
+        "max_events": PINNED_MAX_EVENTS,
     }, "df14eabe7dd983ff6e8c1f8f80fa8d31fb687eb840e6281b9d400731b5acf0a9"),
     "litmus": ({
         "workload": "litmus",
         "params": {"rounds": 50, "threads": 4},
         "config": {"preset": "scaled", "model": "atomic", "num_scopes": 4},
         "variant": "perf",
+        "max_events": PINNED_MAX_EVENTS,
     }, "cf5b08b2edc1e2494901668313444c4cea1b065e6ef9da60a5dc32aca8aa3362"),
     "ycsb-c-8core": ({
         "workload": "ycsb",
@@ -71,12 +80,14 @@ _PINNED_CONFIGS = {
         "config": {"preset": "scaled", "model": "scope", "num_scopes": 8,
                    "cores": {"num_cores": 8}},
         "variant": "perf",
+        "max_events": PINNED_MAX_EVENTS,
     }, "b3e20557537e0e1f9392d44e6e53c501d222ebfcd5ff11a7b65b4ad19585178a"),
     "tpch-q6-sf2": ({
         "workload": "tpch",
         "params": {"query": "q6", "scale": 0.03125, "threads": 6},
         "config": {"preset": "scaled", "model": "scope", "num_scopes": 64},
         "variant": "perf",
+        "max_events": PINNED_MAX_EVENTS,
     }, "524dbf5633dbbac80a028271466b4c5ae7f01c09d23b0c147b5fb9fda896d96d"),
     # ycsb-c with the MSHR knobs explicitly on: the same simulation plus
     # the mshr_* stats (tests/memory/test_mshr.py compares the two).
@@ -88,6 +99,7 @@ _PINNED_CONFIGS = {
                    "l1": {"mshr_entries": 8},
                    "llc": {"mshr_entries": 64}},
         "variant": "perf",
+        "max_events": PINNED_MAX_EVENTS,
     }, "a2593bf4ee224110e9cc01c76dc393b7814ef83c19b7518888ba23b220e6e7bc"),
     # ycsb-c driven open-loop near its saturation knee: pins the
     # admission-queue path and the whole traffic stats group.
@@ -99,6 +111,7 @@ _PINNED_CONFIGS = {
                    "traffic": {"arrival": "poisson", "offered_load": 0.3,
                                "queue_depth": 16}},
         "variant": "perf",
+        "max_events": PINNED_MAX_EVENTS,
     }, "bc9d76728d2dad336d7c1e9d50b1a5e2e55de1d06a00faa92eeb771e7d64513f"),
 }
 
@@ -132,6 +145,7 @@ def test_tpch_default_digest_matches_seed():
         "params": {"query": "q6", "scale": 0.015625},
         "config": {"preset": "scaled", "model": "scope", "num_scopes": 32},
         "variant": "digest-gate",
+        "max_events": PINNED_MAX_EVENTS,
     })
     assert digest == _TPCH_DIGEST
 
@@ -142,6 +156,7 @@ def test_litmus_default_digest_matches_seed():
         "params": {"rounds": 10, "threads": 4},
         "config": {"preset": "scaled", "model": "atomic", "num_scopes": 4},
         "variant": "digest-gate",
+        "max_events": PINNED_MAX_EVENTS,
     })
     assert digest == _LITMUS_DIGEST
 

@@ -1,10 +1,11 @@
 """Runner semantics: parity with the legacy path, caching, dedup."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import List, Sequence
 
 import pytest
 
+from helpers import CountingBackend
 from repro.api import Experiment, ResultStore, Runner, SerialBackend
 from repro.api.backends import ExperimentFailure, execute_experiment
 from repro.core.models import ConsistencyModel
@@ -54,40 +55,18 @@ def test_runner_reproduces_legacy_run_workload(model):
     assert new.config == legacy.config
 
 
-class _CountingBackend(SerialBackend):
-    """Serial execution that records how many specs it actually ran."""
-
-    def __init__(self) -> None:
-        self.executed: List[str] = []
-        self.batches: List[List[str]] = []
-
-    def run_all(self, experiments: Sequence[Experiment], **kwargs):
-        hashes = [e.spec_hash() for e in experiments]
-        self.executed.extend(hashes)
-        self.batches.append(hashes)
-        return super().run_all(experiments, **kwargs)
-
-    def run_all_settled(self, experiments: Sequence[Experiment], **kwargs):
-        hashes = [e.spec_hash() for e in experiments]
-        self.executed.extend(hashes)
-        self.batches.append(hashes)
-        return super().run_all_settled(experiments, **kwargs)
-
-
 def test_cache_serves_repeated_specs_without_resimulating():
-    backend = _CountingBackend()
+    backend = CountingBackend()
     runner = Runner(backend=backend)
-    exp = _experiment(ConsistencyModel.ATOMIC)
-    first = runner.run(exp)
+    first = runner.run(_experiment(ConsistencyModel.ATOMIC))
     second = runner.run(_experiment(ConsistencyModel.ATOMIC))
     assert first is second  # cache hit returns the same snapshot
     assert len(backend.executed) == 1
-    assert runner.cache_size == 1
-    assert runner.cached(exp) is first
+    assert runner.dispatch_count == 1
 
 
 def test_run_all_deduplicates_within_a_batch_and_keeps_order():
-    backend = _CountingBackend()
+    backend = CountingBackend()
     runner = Runner(backend=backend)
     atomic = _experiment(ConsistencyModel.ATOMIC)
     naive = _experiment(ConsistencyModel.NAIVE)
@@ -98,25 +77,12 @@ def test_run_all_deduplicates_within_a_batch_and_keeps_order():
     assert results[1].model_name == "naive"
 
 
-def test_uncached_runner_still_dedupes_batches():
-    backend = _CountingBackend()
-    runner = Runner(backend=backend, cache=False)
-    exp = _experiment(ConsistencyModel.ATOMIC)
-    results = runner.run_all([exp, exp])
-    assert len(backend.executed) == 1
-    assert results[0] is results[1]
-    assert runner.cache_size == 0
-    # ...but separate calls re-execute
-    runner.run(exp)
-    assert len(backend.executed) == 2
-
-
 def test_mixed_cached_batch_dispatches_only_the_misses():
     """A batch mixing cache hits and misses must make exactly one
     backend dispatch carrying only the misses, in input order -- that is
     what keeps a resumed campaign sharded instead of degrading to
     point-at-a-time execution."""
-    backend = _CountingBackend()
+    backend = CountingBackend()
     runner = Runner(backend=backend)
     atomic = _experiment(ConsistencyModel.ATOMIC)
     cached = runner.run(atomic)
@@ -132,7 +98,7 @@ def test_mixed_cached_batch_dispatches_only_the_misses():
 
 
 def test_run_settled_shares_the_batch_path_and_cache():
-    backend = _CountingBackend()
+    backend = CountingBackend()
     runner = Runner(backend=backend)
     atomic = _experiment(ConsistencyModel.ATOMIC)
     cached = runner.run(atomic)
@@ -146,16 +112,6 @@ def test_run_settled_shares_the_batch_path_and_cache():
     assert error is None
     assert runner.run(naive) is result
     assert len(backend.executed) == 2
-
-
-def test_clear_cache():
-    runner = Runner()
-    exp = _experiment(ConsistencyModel.NAIVE)
-    runner.run(exp)
-    assert runner.cache_size == 1
-    runner.clear_cache()
-    assert runner.cache_size == 0
-    assert runner.cached(exp) is None
 
 
 def test_run_settled_progress_counts_duplicates_and_cache_hits():
@@ -189,6 +145,18 @@ def test_run_settled_trace_overlay_does_not_fork_the_cache():
     assert err is None
     assert runner.dispatch_count == 1  # no second simulation
     assert cached is traced
+
+
+def test_run_all_raises_only_after_storing_every_success(tmp_path):
+    """A failed point makes run_all raise a RuntimeError naming its spec
+    hash -- after the batch settled, so the good point is stored."""
+    good = _experiment(ConsistencyModel.ATOMIC)
+    bad = replace(good, params=asdict(replace(PARAMS, num_records=0)))
+    with pytest.raises(RuntimeError, match=bad.spec_hash()) as exc:
+        Runner(store=str(tmp_path)).run_all([good, bad])
+    assert "1 of 2 points failed" in str(exc.value)
+    assert "at least one item" in str(exc.value)
+    assert ResultStore(str(tmp_path)).get(good.spec_hash()) is not None
 
 
 class _FailingBackend(SerialBackend):

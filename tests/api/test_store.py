@@ -2,10 +2,10 @@
 
 import json
 import os
-from typing import List, Sequence
 
 import pytest
 
+from helpers import CountingBackend
 from repro.api import Experiment, ResultStore, Runner, SerialBackend
 from repro.api.backends import ProcessPoolBackend
 from repro.api.store import STORE_SCHEMA, code_fingerprint
@@ -31,26 +31,6 @@ def litmus_result():
     from repro.api.backends import execute_experiment
 
     return execute_experiment(_experiment())
-
-
-class CountingBackend(SerialBackend):
-    """Serial execution recording each dispatched batch (store-aware)."""
-
-    def __init__(self) -> None:
-        self.batches: List[List[str]] = []
-
-    def run_all(self, experiments: Sequence[Experiment], **kwargs):
-        self.batches.append([e.spec_hash() for e in experiments])
-        return super().run_all(experiments, **kwargs)
-
-    def run_all_settled(self, experiments: Sequence[Experiment],
-                        store=None, **kwargs):
-        self.batches.append([e.spec_hash() for e in experiments])
-        return super().run_all_settled(experiments, store=store, **kwargs)
-
-    @property
-    def executed(self) -> List[str]:
-        return [h for batch in self.batches for h in batch]
 
 
 # --------------------------------------------------------------------- #
@@ -197,7 +177,7 @@ def test_corrupt_entry_is_quarantined_on_read(tmp_path, litmus_result,
 
 def test_prune_by_fingerprint(tmp_path, litmus_result):
     """`store prune --fingerprint FP` garbage-collects exactly one
-    engine generation (what the resume mismatch error suggests)."""
+    engine generation."""
     store = ResultStore(str(tmp_path))
     old = ResultStore(str(tmp_path), fingerprint="old-kernel")
     ancient = ResultStore(str(tmp_path), fingerprint="ancient-kernel")
@@ -319,7 +299,8 @@ def test_runner_writes_back_and_new_session_hydrates(tmp_path):
     assert hydrated.stats == result.stats
     assert hydrated.run_time == result.run_time
     # ...and the hit now sits in the memory tier
-    assert warm.cached(exp) is not None
+    assert warm.run(exp) is hydrated
+    assert warm.store_hits == 1
 
 
 def test_mixed_batch_still_makes_exactly_one_dispatch(tmp_path):
@@ -343,14 +324,13 @@ def test_mixed_batch_still_makes_exactly_one_dispatch(tmp_path):
 
 
 def test_runner_accepts_a_path_and_no_cache(tmp_path):
-    """A bare directory path works, and the store tier functions even
-    with the memory cache disabled."""
+    """A bare directory path works, and a fresh Runner -- nothing in its
+    memory cache -- is served by the store tier alone."""
     exp = _experiment()
-    first = Runner(cache=False, store=str(tmp_path))
+    first = Runner(store=str(tmp_path))
     first.run(exp)
-    second = Runner(cache=False, store=str(tmp_path))
     backend = CountingBackend()
-    second.backend = backend
+    second = Runner(backend=backend, store=str(tmp_path))
     second.run(exp)
     assert backend.executed == []
     assert second.store_hits == 1
@@ -389,21 +369,6 @@ def test_pool_written_store_serves_serial_sessions(tmp_path):
     assert backend.executed == []
     for (a, _), (b, _) in zip(pooled_out, serial_out):
         assert a.stats == b.stats and a.run_time == b.run_time
-
-
-def test_preload_raises_with_caching_disabled(tmp_path):
-    """A silently dropped preload would re-simulate a whole campaign."""
-    runner = Runner(cache=False)
-    with pytest.raises(RuntimeError, match="cache=False"):
-        runner.preload({})
-    assert Runner().preload({}) == 0
-    # With a store attached the error names where misses still resolve.
-    store = ResultStore(str(tmp_path))
-    stored_runner = Runner(cache=False, store=store)
-    with pytest.raises(RuntimeError) as exc:
-        stored_runner.preload({})
-    assert store.root in str(exc.value)
-    assert store.fingerprint in str(exc.value)
 
 
 def test_prune_candidates_previews_without_removing(tmp_path, litmus_result):

@@ -14,16 +14,15 @@ import signal
 import subprocess
 import sys
 import time
-from typing import List, Sequence
 
 import pytest
 
 import repro
 
+from helpers import CountingBackend
 from repro.api import (
     Axis,
     Campaign,
-    Experiment,
     ResultStore,
     Runner,
     SerialBackend,
@@ -32,27 +31,7 @@ from repro.api import (
     run_campaign,
 )
 from repro.analysis.report import campaign_markdown
-from repro.api.sweep import SIX_MODELS, load_results
-
-
-class CountingBackend(SerialBackend):
-    """Serial execution recording each dispatched batch (store-aware)."""
-
-    def __init__(self) -> None:
-        self.batches: List[List[str]] = []
-
-    def run_all(self, experiments: Sequence[Experiment], **kwargs):
-        self.batches.append([e.spec_hash() for e in experiments])
-        return super().run_all(experiments, **kwargs)
-
-    def run_all_settled(self, experiments: Sequence[Experiment],
-                        store=None, **kwargs):
-        self.batches.append([e.spec_hash() for e in experiments])
-        return super().run_all_settled(experiments, store=store, **kwargs)
-
-    @property
-    def executed(self) -> List[str]:
-        return [h for batch in self.batches for h in batch]
+from repro.api.sweep import SIX_MODELS
 
 
 def _fidelity_campaign() -> Campaign:
@@ -169,11 +148,15 @@ def test_cli_store_env_var_default(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_store_stats_verify_prune_export(tmp_path, capsys):
-    """The store maintenance CLI: stats, verify, export, prune."""
+    """The store maintenance CLI: stats, verify, prune -- and exporting
+    a stored campaign as an artifact, which is `sweep run --output` on a
+    warm store."""
     from repro.api.cli import main
 
     store_dir = str(tmp_path / "store")
-    assert main(["sweep", "run", "smoke", "--store", store_dir]) == 0
+    cold_artifact = tmp_path / "smoke-cold.json"
+    assert main(["sweep", "run", "smoke", "--store", store_dir,
+                 "--output", str(cold_artifact)]) == 0
     capsys.readouterr()
 
     assert main(["store", "stats", "--store", store_dir]) == 0
@@ -183,20 +166,12 @@ def test_cli_store_stats_verify_prune_export(tmp_path, capsys):
     assert main(["store", "verify", "--store", store_dir]) == 0
     assert "ok: 4 entries verified" in capsys.readouterr().out
 
-    # export writes a --resume-compatible artifact covering every point
+    # the warm rerun writes the same artifact without simulating
     artifact = tmp_path / "smoke-export.json"
-    assert main(["store", "export", "smoke", "--store", store_dir,
-                 "--output", str(artifact)]) == 0
-    assert "exported 4 of 4 points" in capsys.readouterr().out
-    hydrated = load_results(json.loads(artifact.read_text()))
-    smoke = get_campaign("smoke")
-    assert set(hydrated) == {p.experiment.spec_hash()
-                             for p in smoke.points()}
-    backend = CountingBackend()
-    resumed = run_campaign(smoke, runner=Runner(backend=backend),
-                           resume=hydrated)
-    assert backend.executed == []
-    assert not resumed.failed_points
+    assert main(["sweep", "run", "smoke", "--store", store_dir,
+                 "--output", str(artifact), "--no-progress"]) == 0
+    assert "backend dispatches: 0" in capsys.readouterr().out
+    assert artifact.read_text() == cold_artifact.read_text()
 
     # prune demands a selector, then removes everything under --stale=no,
     # age=0 (every entry is "older than 0 days" after an mtime rewind)

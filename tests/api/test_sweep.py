@@ -2,27 +2,24 @@
 
 import copy
 import json
-from typing import List, Sequence
 
 import pytest
 
+from helpers import CountingBackend
 from repro.api import (
     Axis,
     Campaign,
     Experiment,
     Pivot,
+    ResultStore,
     Runner,
     SerialBackend,
+    SimulationResult,
     Sweep,
     get_campaign,
     run_campaign,
 )
 from repro.api.backends import ProcessPoolBackend
-from repro.api.sweep import (
-    load_results,
-    result_from_dict,
-    result_to_dict,
-)
 from repro.core.models import ConsistencyModel
 from repro.sim.config import SystemConfig
 
@@ -33,25 +30,6 @@ YCSB_BASE = {
     "config": {"preset": "scaled", "num_scopes": 4},
     "max_events": 50_000_000,
 }
-
-
-class CountingBackend(SerialBackend):
-    """Serial execution that records every spec the backend actually ran."""
-
-    def __init__(self) -> None:
-        self.batches: List[List[str]] = []
-
-    def run_all(self, experiments: Sequence[Experiment], **kwargs):
-        self.batches.append([e.spec_hash() for e in experiments])
-        return super().run_all(experiments, **kwargs)
-
-    def run_all_settled(self, experiments: Sequence[Experiment], **kwargs):
-        self.batches.append([e.spec_hash() for e in experiments])
-        return super().run_all_settled(experiments, **kwargs)
-
-    @property
-    def executed(self) -> List[str]:
-        return [h for batch in self.batches for h in batch]
 
 
 # --------------------------------------------------------------------- #
@@ -160,24 +138,10 @@ def test_empty_axis_expands_to_no_points():
     sweep = Sweep(name="s", base=YCSB_BASE,
                   axes=(Axis("model", ()), Axis("scopes", (4, 8))))
     assert sweep.points() == []
-
-
-def test_filters_prune_points():
-    sweep = Sweep(
-        name="s", base=YCSB_BASE,
-        axes=(Axis("model", ("naive", "atomic")), Axis("scopes", (4, 8))),
-        filters=(lambda c: not (c["model"] == "naive" and c["scopes"] == 8),),
-    )
-    assert len(sweep.points()) == 3
-
-
-def test_filter_removing_every_point_still_runs():
-    sweep = Sweep(name="s", base=YCSB_BASE,
-                  axes=(Axis("model", ("naive",)),),
-                  filters=(lambda c: False,))
-    campaign = Campaign(name="empty", sweeps=(sweep,))
+    # an empty campaign still runs: no dispatch, a digest all the same
     backend = CountingBackend()
-    result = run_campaign(campaign, runner=Runner(backend=backend))
+    result = run_campaign(Campaign(name="empty", sweeps=(sweep,)),
+                          runner=Runner(backend=backend))
     assert result.points == []
     assert backend.executed == []
     assert isinstance(result.digest(), str)
@@ -241,16 +205,8 @@ def test_from_dict_rejects_unknown_keys():
                          "normalise_to": "naive"})
 
 
-def test_sweep_with_transform_is_not_serializable():
-    sweep = Sweep(name="s", base=YCSB_BASE,
-                  axes=(Axis("model", ("naive",)),),
-                  transform=lambda e, c: e)
-    with pytest.raises(ValueError, match="not serializable"):
-        sweep.to_dict()
-
-
 # --------------------------------------------------------------------- #
-# execution: dedup, equivalence, failure isolation, resume
+# execution: dedup, equivalence, failure isolation, store resume
 # --------------------------------------------------------------------- #
 
 
@@ -332,57 +288,35 @@ def test_failures_are_not_cached_so_resume_retries_them():
 
 
 def test_campaign_json_round_trip_and_resume(tmp_path):
+    """The JSON artifact records every point's spec and result; a rerun
+    resumes from the store, simulating nothing."""
     campaign = _two_model_campaign()
-    backend = CountingBackend()
-    first = run_campaign(campaign, runner=Runner(backend=backend))
-    artifact = tmp_path / "mini.json"
-    artifact.write_text(json.dumps(first.to_json_dict()))
+    store = ResultStore(str(tmp_path / "store"))
+    first = run_campaign(campaign, runner=Runner(store=store))
+    data = json.loads(json.dumps(first.to_json_dict()))
+    assert data["digest"] == first.digest()
+    for stored, point in zip(data["points"], first.points):
+        assert stored["spec_hash"] == point.experiment.spec_hash()
+        assert Experiment.from_dict(stored["experiment"]) == point.experiment
+        assert SimulationResult.from_dict(stored["result"]).stats == \
+            point.result.stats
 
     resumed_backend = CountingBackend()
-    resume = load_results(json.loads(artifact.read_text()))
-    second = run_campaign(campaign, runner=Runner(backend=resumed_backend),
-                          resume=resume)
-    assert resumed_backend.executed == []  # every point came from cache
+    second = run_campaign(campaign, runner=Runner(backend=resumed_backend,
+                                                  store=store))
+    assert resumed_backend.executed == []  # every point came from the store
     assert second.digest() == first.digest()
 
 
 def test_result_dict_round_trip():
     result = run_campaign(_two_model_campaign()).points[0].result
-    clone = result_from_dict(
-        json.loads(json.dumps(result_to_dict(result))))
+    clone = SimulationResult.from_dict(
+        json.loads(json.dumps(result.to_dict())))
     assert clone.config == result.config
     assert clone.run_time == result.run_time
     assert clone.stale_reads == result.stale_reads
     assert clone.events == result.events
     assert clone.stats == result.stats
-
-
-def test_load_results_rejects_foreign_json():
-    with pytest.raises(ValueError, match="schema"):
-        load_results({"points": []})
-
-
-def test_load_results_names_both_fingerprints_on_mismatch():
-    """Resuming from an artifact of another engine generation fails
-    loudly -- naming both fingerprints and the prune command -- instead
-    of silently re-running everything."""
-    from repro.api.store import code_fingerprint
-
-    data = run_campaign(_two_model_campaign()).to_json_dict()
-    assert data["fingerprint"] == code_fingerprint()  # recorded on write
-    assert load_results(data)  # the matching artifact loads
-
-    stale = dict(data, fingerprint="0123456789abcdef")
-    with pytest.raises(ValueError) as exc:
-        load_results(stale)
-    message = str(exc.value)
-    assert "0123456789abcdef" in message  # the artifact's fingerprint
-    assert code_fingerprint() in message  # ...and the current engine's
-    assert "store prune --fingerprint 0123456789abcdef" in message
-
-    # artifacts predating the field still load unchecked (back-compat)
-    legacy = {k: v for k, v in data.items() if k != "fingerprint"}
-    assert load_results(legacy)
 
 
 # --------------------------------------------------------------------- #
@@ -488,10 +422,13 @@ def test_cli_sweep_run_round_trip(tmp_path, capsys):
         assert Experiment.from_dict(stored["experiment"]) == point.experiment
     assert report.read_text().startswith("# CI smoke campaign")
 
-    # resuming from the artifact simulates nothing and prints the digest
-    assert main(["sweep", "run", "smoke", "--resume", str(artifact)]) == 0
+    # resuming from a store simulates nothing and prints the digest
+    store = str(tmp_path / "store")
+    assert main(["sweep", "run", "smoke", "--store", store]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "run", "smoke", "--store", store]) == 0
     out = capsys.readouterr().out
-    assert "4 from cache" in out
+    assert "backend dispatches: 0" in out
     assert data["digest"] in out
 
 

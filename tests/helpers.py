@@ -3,10 +3,11 @@
 import cProfile
 import dataclasses
 import pstats
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import pytest
 
+from repro.api.backends import SerialBackend
 from repro.api.experiment import Experiment
 from repro.core.scope import ScopeMap
 from repro.sim.component import Component
@@ -89,6 +90,22 @@ def make_store(addr, scope=None, reply_to=None, core=0):
 def make_pim(scope, addr=0, reply_to=None, core=0, direct=False):
     return Message(MessageType.PIM_OP, addr=addr, scope=scope, core=core,
                    reply_to=reply_to, direct=direct)
+
+
+class CountingBackend(SerialBackend):
+    """Serial execution recording the spec hashes of each dispatched
+    batch (every Runner batch reaches a backend here)."""
+
+    def __init__(self) -> None:
+        self.batches: List[List[str]] = []
+
+    def run_all_settled(self, experiments: Sequence[Experiment], **kwargs):
+        self.batches.append([e.spec_hash() for e in experiments])
+        return super().run_all_settled(experiments, **kwargs)
+
+    @property
+    def executed(self) -> List[str]:
+        return [h for batch in self.batches for h in batch]
 
 
 def profile_run(spec, trace=None):

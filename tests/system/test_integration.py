@@ -111,10 +111,10 @@ def test_uncacheable_is_much_slower():
 
 
 def test_deterministic_replay():
-    # Fresh uncached runners: both calls really simulate.
+    # Fresh runners, each with an empty cache: both calls really simulate.
     exp = _experiment(ConsistencyModel.SCOPE)
-    a = Runner(cache=False).run(exp)
-    b = Runner(cache=False).run(exp)
+    a = Runner().run(exp)
+    b = Runner().run(exp)
     assert result_digest(a.to_dict()) == result_digest(b.to_dict())
 
 
