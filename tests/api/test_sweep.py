@@ -138,7 +138,13 @@ def test_empty_axis_expands_to_no_points():
     sweep = Sweep(name="s", base=YCSB_BASE,
                   axes=(Axis("model", ()), Axis("scopes", (4, 8))))
     assert sweep.points() == []
-    # an empty campaign still runs: no dispatch, a digest all the same
+
+
+def test_filter_removing_every_point_still_runs():
+    """A campaign left with no points (here an empty axis removes every
+    point) still runs: no dispatch, a digest all the same."""
+    sweep = Sweep(name="s", base=YCSB_BASE,
+                  axes=(Axis("model", ()), Axis("scopes", (4, 8))))
     backend = CountingBackend()
     result = run_campaign(Campaign(name="empty", sweeps=(sweep,)),
                           runner=Runner(backend=backend))
