@@ -26,18 +26,8 @@ values and the PIM op applies a per-address function to memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import (Callable, Dict, FrozenSet, Iterable, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.core.memops import MemOp, OpKind
 from repro.core.models import ConsistencyModel, properties_of
@@ -95,15 +85,8 @@ class LitmusProgram:
         return tuple(sorted(self.scope_addresses))
 
 
-class _State(NamedTuple):
-    """One abstract machine state (hashable for visited-set pruning)."""
-
-    pcs: tuple          # per-thread program counters
-    memory: tuple       # (addr, value) pairs, sorted
-    cache: tuple        # (addr, value) pairs, sorted
-    dirty: frozenset    # dirty cached addrs
-    reads: tuple        # (thread, index, value) triples, sorted
-    prefetches: int     # prefetch budget left
+#: Effect codes of compiled ops (see ``LitmusExecutor._compile``).
+_NOP, _LOAD, _STORE, _FLUSH = range(4)
 
 
 class LitmusExecutor:
@@ -126,6 +109,12 @@ class LitmusExecutor:
         self.flush_atomic = flush_atomic
         self.prefetch_budget = prefetch_budget
         self.uncacheable = uncacheable
+        # Bit ``i`` of ``blockers[tid][j]`` is set when op ``j`` may not
+        # issue before op ``i``; in program order, every earlier op.
+        self.blockers = tuple(
+            tuple((1 << j) - 1 for j in range(len(thread)))
+            for thread in program.threads
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -134,29 +123,72 @@ class LitmusExecutor:
 
         Each outcome is a sorted tuple of ``(thread, op_index, value)``
         for every LOAD in the program.
+
+        DFS over flat state tuples: the prefetch budget left, the cached
+        and dirty line bitmasks, one issued-op bitmask per thread, then
+        the memory values, the cache values (0 when not cached) and one
+        read slot per LOAD, at the offsets :meth:`_compile` assigns.  A
+        state whose threads have all finished is terminal, because a
+        prefetch can no longer change a read.
         """
-        initial = _State(
-            pcs=tuple(0 for _ in self.program.threads),
-            memory=(),
-            cache=(),
-            dirty=frozenset(),
-            reads=(),
-            prefetches=self.prefetch_budget,
-        )
-        results: Set[Tuple[Tuple[int, int, int], ...]] = set()
-        visited: Set = set()
+        threads, prefetch, initial, reads_at, tids, indexes = self._compile()
+        pim = self.program.pim_function
+        seen = {initial}
+        finals = set()
         stack = [initial]
+        pop, push, visit = stack.pop, stack.append, seen.add
         while stack:
-            state = stack.pop()
-            if state in visited:
-                continue
-            visited.add(state)
-            successors = list(self._successors(state))
-            if not successors:
-                results.add(tuple(sorted(state.reads)))
-                continue
-            stack.extend(successors)
-        return results
+            state = pop()
+            done = True
+            for slot, table in threads:
+                for effect, issued in table[state[slot]]:
+                    done = False
+                    s = list(state)
+                    s[slot] = issued
+                    kind = effect[0]
+                    if kind == _LOAD:
+                        _, bit, mem, line, read = effect
+                        if s[1] & bit:
+                            s[read] = s[line]
+                        else:  # loads allocate
+                            s[read] = s[line] = s[mem]
+                            s[1] |= bit
+                    elif kind == _STORE:
+                        _, bit, line, value = effect
+                        s[line] = value
+                        s[1] |= bit
+                        s[2] |= bit
+                    elif kind == _FLUSH:  # flushes, then PIM updates
+                        for bit, mem, line in effect[1]:
+                            if s[1] & bit:
+                                if s[2] & bit:
+                                    s[mem] = s[line]
+                                    s[2] ^= bit
+                                s[1] ^= bit
+                                s[line] = 0
+                        for addr, mem in effect[2]:
+                            s[mem] = pim(addr, s[mem])
+                    successor = tuple(s)
+                    if successor not in seen:
+                        visit(successor)
+                        push(successor)
+            if done:
+                finals.add(state[reads_at:])
+            elif state[0]:
+                # Spontaneous prefetch (another thread / hardware
+                # prefetcher pulling a line into the cache between any
+                # two steps).
+                for bit, mem, line in prefetch:
+                    if not state[1] & bit:
+                        s = list(state)
+                        s[0] -= 1
+                        s[1] |= bit
+                        s[line] = s[mem]
+                        successor = tuple(s)
+                        if successor not in seen:
+                            visit(successor)
+                            push(successor)
+        return {tuple(sorted(zip(tids, indexes, reads))) for reads in finals}
 
     def reachable(self, predicate: Callable[[Dict[Tuple[int, int], int]], bool]) -> bool:
         """Is any outcome satisfying ``predicate`` reachable?
@@ -170,94 +202,75 @@ class LitmusExecutor:
 
     # ------------------------------------------------------------------ #
 
-    def _successors(self, state: _State):
-        # Thread steps.
-        for tid, pc in enumerate(state.pcs):
-            thread = self.program.threads[tid]
-            if pc < len(thread):
-                yield self._step(state, tid, thread[pc], pc + 1)
-        # Spontaneous prefetch (another thread / hardware prefetcher
-        # pulling a line into the cache between any two steps).
-        yield from self._prefetch_successors(state)
+    def _compile(self):
+        """The search's inputs: per-thread move tables, the prefetchable
+        lines, the initial state, and the read slots' offset and keys.
 
-    def _prefetch_successors(self, state: _State):
-        if state.prefetches <= 0:
-            return
-        cache = dict(state.cache)
-        memory = dict(state.memory)
-        for addr in sorted(self.program.prefetchable):
-            if addr in cache or self._bypasses_cache(addr):
-                continue
-            new_cache = dict(cache)
-            new_cache[addr] = memory.get(addr, 0)
-            yield _State(
-                state.pcs, state.memory, _freeze(new_cache),
-                state.dirty, state.reads, state.prefetches - 1,
-            )
-
-    def _bypasses_cache(self, addr: Optional[int]) -> bool:
-        return self.uncacheable and addr in self.program.scope_addresses
-
-    def _exec_op(self, memory: Dict[int, int], cache: Dict[int, int],
-                 dirty: Set[int], reads, tid: int, op: MemOp):
-        """Apply one operation's memory effect; returns updated reads."""
-        kind = op.kind
-        if kind is OpKind.STORE:
-            if self._bypasses_cache(op.address):
-                memory[op.address] = op.value
-            else:
-                cache[op.address] = op.value
-                dirty.add(op.address)
-        elif kind is OpKind.LOAD:
-            if self._bypasses_cache(op.address):
-                value = memory.get(op.address, 0)
-            elif op.address in cache:
-                value = cache[op.address]
-            else:
-                value = memory.get(op.address, 0)
-                cache[op.address] = value  # loads allocate
-            # Keep the accumulated reads sorted: outcomes are read *sets*
-            # (keyed by thread and op index), so states differing only in
-            # observation order merge in the visited set.
-            reads = tuple(sorted(reads + ((tid, op.index, value),)))
-        elif kind is OpKind.FLUSH:
-            if op.address in cache:
-                if op.address in dirty:
-                    memory[op.address] = cache[op.address]
-                    dirty.discard(op.address)
-                del cache[op.address]
-        elif kind is OpKind.PIM_OP:
-            scope_addrs = self.program.addresses_of(op.scope)
-            if self.flush_atomic:
-                # The paper's mechanism: scope flush is atomic with the op.
-                for addr in scope_addrs:
-                    if addr in cache:
-                        if addr in dirty:
-                            memory[addr] = cache[addr]
-                            dirty.discard(addr)
-                        del cache[addr]
-            for addr in scope_addrs:
-                memory[addr] = self.program.pim_function(addr, memory.get(addr, 0))
-        elif kind.is_fence:
-            # Fences order issue, never touch memory.  The in-order
-            # executor issues in program order so they are no-ops here;
-            # ModelExecutor enforces them through the reordering
-            # predicate before an op may issue at all.
-            pass
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"litmus cannot execute {kind}")
-        return reads
-
-    def _step(self, state: _State, tid: int, op: MemOp, pc: int) -> _State:
-        """``state`` after thread ``tid`` performs ``op``; its entry in
-        ``pcs`` becomes ``pc``."""
-        memory = dict(state.memory)
-        cache = dict(state.cache)
-        dirty = set(state.dirty)
-        reads = self._exec_op(memory, cache, dirty, state.reads, tid, op)
-        pcs = state.pcs[:tid] + (pc,) + state.pcs[tid + 1:]
-        return _State(pcs, _freeze(memory), _freeze(cache),
-                      frozenset(dirty), reads, state.prefetches)
+        Address ``k`` is bit ``k`` of the line masks, and its line is a
+        ``(bit, memory offset, cache offset)`` record.  Memory starts at
+        0, which reads as an absent address did.  An uncacheable address
+        has no bit and its memory word as its cache value, so loads,
+        stores and flushes of it act on memory alone.  A thread's table
+        maps each issued-op bitmask to the ``(effect, next bitmask)``
+        moves its blockers allow.
+        """
+        program = self.program
+        addrs = dict.fromkeys(sorted(program.prefetchable))
+        for op in (op for thread in program.threads for op in thread):
+            if op.kind is OpKind.PIM_OP:
+                addrs.update(dict.fromkeys(program.addresses_of(op.scope)))
+            elif op.kind.is_memory_access:
+                addrs[op.address] = None
+        mem_at = 3 + len(program.threads)
+        cache_at = mem_at + len(addrs)
+        bypass = program.scope_addresses if self.uncacheable else ()
+        lines = {addr: (0, mem_at + k, mem_at + k) if addr in bypass
+                 else (1 << k, mem_at + k, cache_at + k)
+                 for k, addr in enumerate(addrs)}
+        reads_at = cache_at + len(addrs)
+        tids, indexes, threads = [], [], []
+        for tid, thread in enumerate(program.threads):
+            effects = []
+            for op in thread:
+                if op.kind is OpKind.LOAD:
+                    read = reads_at + len(tids)
+                    tids.append(tid)
+                    indexes.append(op.index)
+                    effects.append((_LOAD, *lines[op.address], read))
+                elif op.kind is OpKind.STORE:
+                    bit, _, line = lines[op.address]
+                    effects.append((_STORE, bit, line, op.value))
+                elif op.kind is OpKind.FLUSH:
+                    effects.append((_FLUSH, (lines[op.address],), ()))
+                elif op.kind is OpKind.PIM_OP:
+                    scope = program.addresses_of(op.scope)
+                    # The paper's mechanism: scope flush is atomic with
+                    # the op.
+                    flushed = (tuple(lines[addr] for addr in scope)
+                               if self.flush_atomic else ())
+                    effects.append((_FLUSH, flushed, tuple(
+                        (addr, lines[addr][1]) for addr in scope)))
+                elif op.kind.is_fence:
+                    # Fences order issue and never touch memory; the
+                    # blockers enforce them.
+                    effects.append((_NOP,))
+                else:  # pragma: no cover - defensive
+                    raise ValueError(f"litmus cannot execute {op.kind}")
+            table: Dict[int, tuple] = {}
+            todo = [0]
+            while todo:
+                issued = todo.pop()
+                if issued not in table:
+                    table[issued] = moves = tuple(
+                        (effects[j], issued | 1 << j)
+                        for j, blockers in enumerate(self.blockers[tid])
+                        if not (issued >> j & 1 or blockers & ~issued))
+                    todo.extend(move[1] for move in moves)
+            threads.append((3 + tid, table))
+        prefetch = tuple(lines[addr] for addr in sorted(program.prefetchable)
+                         if addr not in bypass)
+        initial = (self.prefetch_budget, 0, 0) + (0,) * (reads_at - 3 + len(tids))
+        return threads, prefetch, initial, reads_at, tids, indexes
 
 
 class ModelExecutor(LitmusExecutor):
@@ -298,22 +311,6 @@ class ModelExecutor(LitmusExecutor):
                   for j, op in enumerate(thread))
             for thread in program.threads
         )
-
-    # In ModelExecutor states, ``pcs`` holds one *issued-set bitmask*
-    # per thread instead of a program counter: bit ``j`` set means the
-    # thread's j-th operation has become visible.
-
-    def _successors(self, state: _State):
-        for tid, mask in enumerate(state.pcs):
-            thread = self.program.threads[tid]
-            for j, blockers in enumerate(self.blockers[tid]):
-                if not (mask >> j & 1 or blockers & ~mask):
-                    yield self._step(state, tid, thread[j], mask | 1 << j)
-        yield from self._prefetch_successors(state)
-
-
-def _freeze(d: Dict[int, int]) -> Tuple[Tuple[int, int], ...]:
-    return tuple(sorted(d.items()))
 
 
 # ---------------------------------------------------------------------- #

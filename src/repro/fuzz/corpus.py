@@ -2,8 +2,7 @@
 
 Both live under ``<store-root>/fuzz/`` -- next to (not inside) the
 result store's two-hex-digit entry shards, which
-:meth:`~repro.api.store.ResultStore.paths` deliberately ignores, the
-same arrangement the work queue uses for ``queue/``:
+:meth:`~repro.api.store.ResultStore.paths` deliberately ignores:
 
 * ``fuzz/corpus/<digest>.json`` -- one entry per surviving program: the
   full program description plus the outcome-set fingerprints of every

@@ -134,7 +134,7 @@ def test_ycsb_default_digest_matches_seed(model):
                    "seed": 11},
         "config": {"preset": "scaled", "model": model, "num_scopes": 4},
         "variant": "digest-gate",
-        "max_events": 50_000_000,
+        "max_events": PINNED_MAX_EVENTS,
     })
     assert digest == _YCSB_DIGESTS[model]
 

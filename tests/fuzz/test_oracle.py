@@ -1,15 +1,20 @@
 """The invariant oracle: must-hold checks pass, controls violate."""
 
+import cProfile
 import json
 import os
+import pstats
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.litmus import ModelExecutor
-from repro.core.models import ConsistencyModel
-from repro.fuzz.generate import generate_batch
+from litmus_reference import ReferenceExecutor, ReferenceModelExecutor
+from repro.core.litmus import LitmusExecutor, ModelExecutor
+from repro.core.models import ConsistencyModel, properties_of
+from repro.fuzz.generate import GeneratorKnobs, generate_batch
+from repro.fuzz.harness import CONTROL_MODELS
 from repro.fuzz.oracle import (LATTICE, OutcomeSets, check_coherence,
                                check_lattice, check_program, fingerprints,
                                outcomes_digest)
@@ -87,9 +92,10 @@ EQUIVALENCE_BATCH = (FIG1ISH,) + tuple(generate_batch(seed=20230225,
 WEAKEN = (None, "no-atomic-flush")
 
 
-class PerStateReorder(ModelExecutor):
-    """ModelExecutor that asks ``may_reorder`` about every pending pair
-    in every state instead of reading the precomputed reorder table."""
+class PerStateReorder(ReferenceModelExecutor):
+    """The dict-based reference reorder machine, asking ``may_reorder``
+    about every pending pair in every state instead of reading the
+    precomputed reorder table."""
 
     def _successors(self, state):
         for tid, mask in enumerate(state.pcs):
@@ -103,22 +109,40 @@ class PerStateReorder(ModelExecutor):
         yield from self._prefetch_successors(state)
 
 
+def reference_inorder(program, model, weaken, memo=None):
+    """``OutcomeSets.inorder``'s leg searched by the dict-based
+    reference; ``memo`` shares searches between legs with equal input."""
+    rendering = program.rendering(model)
+    flush_atomic = (properties_of(model).flushes_at_llc
+                    and weaken != "no-atomic-flush")
+    uncacheable = model is ConsistencyModel.UNCACHEABLE
+    key = (rendering.threads, flush_atomic, uncacheable)
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = ReferenceExecutor(
+            rendering.program, flush_atomic, program.prefetch_budget,
+            uncacheable).outcomes()
+    return memo[key]
+
+
 @pytest.fixture(scope="module")
 def searched():
-    """Per program: one OutcomeSets shared by every leg, and each leg
-    searched again on its own, unshared."""
+    """Per program: one OutcomeSets shared by every leg, each leg
+    searched again on its own, unshared, and by the reference."""
     rows = []
     for program in EQUIVALENCE_BATCH:
         shared = OutcomeSets(program)
         prints = fingerprints(program, shared)
         legs = {}
+        memo = {}
         for model in ConsistencyModel:
             for weaken in WEAKEN:
                 fresh = OutcomeSets(program)
                 legs[model, weaken] = (
                     check_coherence(program, model, weaken, shared),
                     check_coherence(program, model, weaken, fresh),
-                    fresh.inorder(model, weaken)[0])
+                    fresh.inorder(model, weaken)[0],
+                    reference_inorder(program, model, weaken, memo))
         bare = program.rendering(None).program
         per_state = {
             model: PerStateReorder(
@@ -131,15 +155,23 @@ def searched():
 
 
 def test_reorder_table_matches_per_state_may_reorder(searched):
+    """Each reorder leg of the dense search equals the reference's."""
     for program, shared, _prints, _legs, per_state in searched:
         for model in LATTICE:
             assert shared.reorder(model) == per_state[model], \
                 (program.digest(), model.value)
 
 
+def test_inorder_legs_equal_the_reference(searched):
+    for program, _shared, _prints, legs, _per_state in searched:
+        for (model, weaken), (*_checks, dense, reference) in legs.items():
+            assert dense == reference, \
+                (program.digest(), model.value, weaken)
+
+
 def test_shared_coherence_checks_equal_unshared_ones(searched):
     for program, _shared, _prints, legs, _per_state in searched:
-        for (model, weaken), (with_shared, alone, _set) in legs.items():
+        for (model, weaken), (with_shared, alone, *_sets) in legs.items():
             assert with_shared == alone, \
                 (program.digest(), model.value, weaken)
 
@@ -152,6 +184,64 @@ def test_shared_fingerprints_equal_unshared_searches(searched):
         unshared.update({f"reorder:{model.value}": outcomes_digest(outcomes)
                          for model, outcomes in per_state.items()})
         assert prints == unshared, program.digest()
+
+
+#: The benchmark's 2-thread, 8-op knobs and the defaults.
+KNOBS = {"two-threads": GeneratorKnobs(threads=(2, 2), max_ops=8),
+         "default": GeneratorKnobs()}
+
+
+@pytest.mark.parametrize("knobs", sorted(KNOBS))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       model=st.sampled_from(list(ConsistencyModel)),
+       weaken=st.sampled_from(WEAKEN))
+def test_dense_search_equals_the_reference_on_generated_programs(
+        knobs, seed, model, weaken):
+    program, = generate_batch(seed, 1, KNOBS[knobs])
+    assert OutcomeSets(program).inorder(model, weaken)[0] \
+        == reference_inorder(program, model, weaken)
+    bare = program.rendering(None).program
+    budget = program.prefetch_budget
+    assert ModelExecutor(bare, model, budget).outcomes() \
+        == ReferenceModelExecutor(bare, model, budget).outcomes()
+
+
+#: Python calls into ``repro/core/litmus.py`` per search made by the
+#: dict-based search the dense one replaced, over the batch below:
+#: 2,535,822 calls in 87 searches under cProfile (Python 3.11.7).
+DICT_SEARCH_CALLS = 2_535_822 / 87
+
+
+def test_a_search_makes_under_a_third_of_the_dict_search_calls(
+        monkeypatch):
+    """The oracle and the two controls under cProfile, counting
+    searches as test_harness does.  Call counts, unlike wall time, do
+    not depend on the machine."""
+    searches = []
+    search = LitmusExecutor.outcomes
+
+    def counted(executor):
+        searches.append(executor)
+        return search(executor)
+
+    monkeypatch.setattr(LitmusExecutor, "outcomes", counted)
+    programs = generate_batch(seed=20230225, count=10)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for program in programs:
+        memo = OutcomeSets(program)
+        check_program(program, memo=memo)
+        for control in CONTROL_MODELS:
+            check_coherence(program, control, memo=memo)
+    profiler.disable()
+    litmus = os.path.join("repro", "core", "litmus.py")
+    calls = sum(ncalls for (path, _line, _name), (_prim, ncalls, *_rest)
+                in pstats.Stats(profiler).stats.items()
+                if path.endswith(litmus))
+    assert searches
+    assert calls / len(searches) <= DICT_SEARCH_CALLS / 3, \
+        (calls, len(searches))
 
 
 # ---------------------------------------------------------------------- #

@@ -12,11 +12,12 @@ finds them through a per-scope count of outstanding fetches, which the
 second half of this file recounts against the MSHR file.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
-from api.test_default_digests import _PINNED_CONFIGS
+from api.test_default_digests import PINNED_MAX_EVENTS, _PINNED_CONFIGS
 from helpers import profile_run
 
 from repro.api import Experiment, Runner
@@ -48,19 +49,26 @@ RACER_DELAYED = build_program(
 )
 
 
+def _timing(program, model):
+    """The fuzz timing-leg spec with the pinned gates' event budget, so
+    a run that stops making progress fails within seconds."""
+    return dataclasses.replace(timing_experiment(program, model, rounds=2),
+                               max_events=PINNED_MAX_EVENTS)
+
+
 @pytest.mark.parametrize("model", ["atomic", "store", "scope",
                                    "scope-relaxed"])
 @pytest.mark.parametrize("program", [RACER, RACER_DELAYED],
                          ids=["pim-first", "fetch-first"])
 def test_racing_fetch_never_serves_stale_pim_results(model, program):
-    result = Runner().run(timing_experiment(program, model, rounds=2))
+    result = Runner().run(_timing(program, model))
     assert result.stale_reads == 0
 
 
 @pytest.mark.parametrize("model", ["naive", "sw-flush"])
 def test_baselines_still_expose_the_race(model):
     """The controls keep their stale window -- the oracle's signal."""
-    result = Runner().run(timing_experiment(RACER, model, rounds=2))
+    result = Runner().run(_timing(RACER, model))
     assert result.stale_reads > 0
 
 
@@ -123,7 +131,7 @@ def _run_checking_fetch_counts(experiment):
 @pytest.mark.parametrize("program", [RACER, RACER_DELAYED],
                          ids=["pim-first", "fetch-first"])
 def test_race_programs_keep_fetch_counts_exact(model, program):
-    _run_checking_fetch_counts(timing_experiment(program, model, rounds=2))
+    _run_checking_fetch_counts(_timing(program, model))
 
 
 def test_ycsb_mix_keeps_fetch_counts_exact():

@@ -13,7 +13,7 @@ import pytest
 
 # tests/ is on sys.path (tests/conftest.py), so the pinned specs are
 # imported from the digest gate rather than duplicated here.
-from api.test_default_digests import _PINNED_CONFIGS
+from api.test_default_digests import PINNED_MAX_EVENTS, _PINNED_CONFIGS
 from helpers import (CaptureSink, ResponseCollector, make_load, make_store,
                      profile_run)
 
@@ -280,7 +280,7 @@ def test_mshr_config_deterministic_across_backends():
                        "l1": {"mshr_entries": 4, "coalescing": coalescing},
                        "llc": {"mshr_entries": 16},
                        "memory": {"dram_burst_len": 4}},
-            "max_events": 50_000_000,
+            "max_events": PINNED_MAX_EVENTS,
         })
         for model, coalescing in (("scope", True), ("atomic", False))
     ]

@@ -23,6 +23,7 @@ from repro.system.simulation import result_digest
 # tests/ is on sys.path (tests/conftest.py), so the pinned digests are
 # imported from the untraced gate rather than duplicated here.
 from api.test_default_digests import (
+    PINNED_MAX_EVENTS,
     _LITMUS_DIGEST,
     _PINNED_CONFIGS,
     _TPCH_DIGEST,
@@ -53,7 +54,7 @@ def test_ycsb_digests_unchanged_under_tracing(model):
                    "seed": 11},
         "config": {"preset": "scaled", "model": model, "num_scopes": 4},
         "variant": "digest-gate",
-        "max_events": 50_000_000,
+        "max_events": PINNED_MAX_EVENTS,
     })
     assert digest == _YCSB_DIGESTS[model]
 
@@ -64,6 +65,7 @@ def test_tpch_digest_unchanged_under_tracing():
         "params": {"query": "q6", "scale": 0.015625},
         "config": {"preset": "scaled", "model": "scope", "num_scopes": 32},
         "variant": "digest-gate",
+        "max_events": PINNED_MAX_EVENTS,
     })
     assert digest == _TPCH_DIGEST
 
@@ -74,6 +76,7 @@ def test_litmus_digest_unchanged_under_tracing():
         "params": {"rounds": 10, "threads": 4},
         "config": {"preset": "scaled", "model": "atomic", "num_scopes": 4},
         "variant": "digest-gate",
+        "max_events": PINNED_MAX_EVENTS,
     })
     assert digest == _LITMUS_DIGEST
 
