@@ -44,30 +44,35 @@ class HappensBefore:
 
     def find_cycle(self) -> Optional[List[Hashable]]:
         """A list of events forming a cycle, or ``None`` if the relation
-        is a partial order (acyclic)."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {v: WHITE for v in self._succ}
-        stack: List[Hashable] = []
+        is a partial order (acyclic).
 
-        def dfs(v: Hashable) -> Optional[List[Hashable]]:
-            color[v] = GREY
-            stack.append(v)
-            for w in self._succ[v]:
-                if color[w] is GREY:
-                    return stack[stack.index(w):] + [w]
-                if color[w] is WHITE:
-                    cycle = dfs(w)
-                    if cycle is not None:
-                        return cycle
-            stack.pop()
-            color[v] = BLACK
-            return None
-
-        for v in list(self._succ):
-            if color[v] is WHITE:
-                cycle = dfs(v)
-                if cycle is not None:
-                    return cycle
+        An iterative depth-first search: ``path`` is the grey chain and
+        ``pending`` one successor iterator per path event, so the visit
+        order is a recursive DFS's, and no closure ties the graph into a
+        reference cycle that outlives the call.
+        """
+        succ = self._succ
+        finished = set()
+        for root in succ:
+            if root in finished:
+                continue
+            path = [root]
+            on_path = {root}
+            pending = [iter(succ[root])]
+            while pending:
+                for w in pending[-1]:
+                    if w in on_path:
+                        return path[path.index(w):] + [w]
+                    if w not in finished:
+                        path.append(w)
+                        on_path.add(w)
+                        pending.append(iter(succ[w]))
+                        break
+                else:
+                    pending.pop()
+                    v = path.pop()
+                    on_path.discard(v)
+                    finished.add(v)
         return None
 
     @property

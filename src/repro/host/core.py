@@ -29,7 +29,7 @@ from repro.host.program import ThreadOp, ThreadOpKind, ThreadProgram
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
-from repro.sim.stats import StatGroup
+from repro.sim.stats import Number
 
 #: Module-level aliases for the per-step dispatch (a global load is
 #: cheaper than the enum attribute lookup on every committed op).
@@ -58,7 +58,7 @@ class Core(Component):
                  "outstanding_loads", "outstanding_stores",
                  "outstanding_flushes", "outstanding_by_scope",
                  "_waiting_pim_ack", "_at_barrier", "_step_scheduled",
-                 "stats", "_stale_reads", "_loads", "_stores", "_pim_ops",
+                 "_stale_reads", "_loads", "_stores", "_pim_ops",
                  "finish_time", "_step_bound", "_ep_offer", "traffic",
                  "_stalls", "_fence_wait_since")
 
@@ -105,15 +105,12 @@ class Core(Component):
         # Pre-bound callables for the per-op hot path.
         self._step_bound = self._step
         self._ep_offer = entry_point.offer
-        self.stats = StatGroup(name)
-        # Issue/stale counters are batched as plain ints on the core
-        # (one attribute bump per op) and synced into the StatGroup only
-        # when a snapshot is taken.
+        # Plain-int counters (one attribute bump per op), read by
+        # snapshot().
         self._stale_reads = 0
         self._loads = 0
         self._stores = 0
         self._pim_ops = 0
-        self.stats.register_flush(self._flush_stats)
         self.finish_time: Optional[int] = None
         #: Open-loop admission queue (``repro.traffic``); ``None`` keeps
         #: the legacy closed loop with zero overhead outside the rare
@@ -125,12 +122,17 @@ class Core(Component):
         self._stalls = None
         self._fence_wait_since: Optional[int] = None
 
-    def _flush_stats(self) -> None:
-        stats = self.stats
-        stats.counter("stale_reads").value = self._stale_reads
-        stats.counter("loads").value = self._loads
-        stats.counter("stores").value = self._stores
-        stats.counter("pim_ops").value = self._pim_ops
+    def snapshot(self) -> Dict[str, Number]:
+        """This core's statistics as one flat dict (plus its admission
+        queue's under open-loop traffic)."""
+        out: Dict[str, Number] = {}
+        if self.traffic is not None:
+            self.traffic.snapshot(out)
+        out["stale_reads"] = self._stale_reads
+        out["loads"] = self._loads
+        out["stores"] = self._stores
+        out["pim_ops"] = self._pim_ops
+        return out
 
     # ------------------------------------------------------------------ #
 

@@ -32,7 +32,6 @@ from repro.host.policies import IssuePolicy
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
-from repro.sim.stats import StatGroup
 
 #: Module-level aliases: the serve loop tests message kinds per queue
 #: entry, and a global load is cheaper than the enum attribute lookup.
@@ -49,8 +48,8 @@ class EntryPoint(Component):
     __slots__ = ("core_id", "policy", "l1", "req_net", "depth", "_queue",
                  "_core", "_serving", "pending_pim_scopes",
                  "pending_pim_acks", "fenced_scopes", "pending_scope_fences",
-                 "stats", "_forwarded", "_holds_free", "_holds_stores",
-                 "_pim_reorders", "_serve_bound", "_l1_offer", "_req_offer")
+                 "_holds_free", "_holds_stores", "_pim_reorders",
+                 "_serve_bound", "_l1_offer", "_req_offer")
 
     def __init__(
         self,
@@ -78,11 +77,6 @@ class EntryPoint(Component):
         #: scopes with an outstanding (un-ACKed) scope-fence.
         self.fenced_scopes: Set[int] = set()
         self.pending_scope_fences = 0
-        self.stats = StatGroup(name)
-        # Batched as a plain int (one attribute bump per forward) and
-        # synced into the StatGroup only when a snapshot is taken.
-        self._forwarded = 0
-        self.stats.register_flush(self._flush_stats)
         # Policy traits predigested for the per-cycle serve loop (the
         # loop inlines IssuePolicy.may_forward; these avoid re-deriving
         # the per-model facts on every queue scan).
@@ -97,9 +91,6 @@ class EntryPoint(Component):
 
     def attach_core(self, core) -> None:
         self._core = core
-
-    def _flush_stats(self) -> None:
-        self.stats.counter("ops_forwarded").value = self._forwarded
 
     # ------------------------------------------------------------------ #
     # core side
@@ -177,7 +168,6 @@ class EntryPoint(Component):
                 accepted = self._l1_offer(msg, self)
             if accepted:
                 queue.popleft()
-                self._forwarded += 1
                 trace = self._trace
                 if trace is not None:
                     trace.record(self.sim.now, self.name, mtype.name,
@@ -271,7 +261,6 @@ class EntryPoint(Component):
                 else:
                     pim_scopes.add(scope)
         if forwarded:
-            self._forwarded += 1
             if self._core is not None:
                 self._core.on_entry_point_progress()
             if self._queue:

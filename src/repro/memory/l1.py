@@ -15,7 +15,7 @@ PIM ops bypass the L1 entirely.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.scope import ScopeMap
 from repro.memory.cache import CacheArray
@@ -27,7 +27,7 @@ from repro.sim.component import Component, QueuedComponent
 from repro.sim.config import CacheConfig, ScopeBufferConfig
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
-from repro.sim.stats import StatGroup
+from repro.sim.stats import Number, mean_into
 
 #: Store-hit fast path: IntEnum ordering makes "writable" a plain int
 #: compare (EXCLUSIVE=2, MODIFIED=3; lookup() never returns INVALID).
@@ -71,25 +71,21 @@ class L1Cache(QueuedComponent):
         self.mshr_file = MshrFile(mshr_count, coalescing)
         #: Hot-path alias of the MSHR file's entry map.
         self._mshrs = self.mshr_file.entries
-        self.stats = StatGroup(name)
-        if emit_mshr_stats:
-            # Opt-in: the extra snapshot keys re-baseline result digests,
-            # so only non-default MSHR configurations export them.
-            self.mshr_file.attach_stats(self.stats)
-        # Hit/miss counters are batched as plain ints (one attribute bump
-        # per access) and synced into the StatGroup at snapshot time.
+        # Opt-in: the extra snapshot keys re-baseline result digests, so
+        # only non-default MSHR configurations export them.
+        self._emit_mshr_stats = emit_mshr_stats
+        # Plain-int counters (one attribute bump each), read by snapshot().
         self._hits = 0
         self._misses = 0
-        self.stats.register_flush(self._flush_stats)
-        self._back_invalidations = self.stats.counter("back_invalidations")
+        self._back_invalidations = 0
+        self._scan_cycles = 0
+        self._scans = 0
         self.scope_buffer: Optional[ScopeBuffer] = None
         self.sbv: Optional[ScopeBitVector] = None
         if scope_buffer_cfg is not None:
-            self.scope_buffer = ScopeBuffer(
-                scope_buffer_cfg.sets, scope_buffer_cfg.ways, self.stats
-            )
-            self.sbv = ScopeBitVector(config.num_sets, self.stats)
-        self._scan_latency = self.stats.mean("scan_latency", extremes=False)
+            self.scope_buffer = ScopeBuffer(scope_buffer_cfg.sets,
+                                            scope_buffer_cfg.ways)
+            self.sbv = ScopeBitVector(config.num_sets)
         self._hit_latency = config.hit_latency
         # Writebacks and upgrade re-fetches waiting for network space
         # (fill-path actions cannot block the response path, so they
@@ -103,10 +99,19 @@ class L1Cache(QueuedComponent):
         #: Stall-attribution bucket (Tracer-owned dict) when tracing.
         self._stalls = None
 
-    def _flush_stats(self) -> None:
-        stats = self.stats
-        stats.counter("hits").value = self._hits
-        stats.counter("misses").value = self._misses
+    def snapshot(self) -> Dict[str, Number]:
+        """This cache's statistics as one flat dict."""
+        out: Dict[str, Number] = {}
+        if self._emit_mshr_stats:
+            self.mshr_file.snapshot(out)
+        out["back_invalidations"] = self._back_invalidations
+        if self.scope_buffer is not None:
+            out["hit_rate"] = self.scope_buffer.hit_rate
+            out["skipped_set_ratio"] = self.sbv.mean_skipped_ratio
+        mean_into(out, "scan_latency", self._scan_cycles, self._scans)
+        out["hits"] = self._hits
+        out["misses"] = self._misses
+        return out
 
     # ------------------------------------------------------------------ #
     # request handling
@@ -213,8 +218,8 @@ class L1Cache(QueuedComponent):
 
     def _scan_and_flush_scope(self, scope: int) -> Tuple[int, List[Message]]:
         """Returns ``(scan_latency, writeback messages)``."""
+        self._scans += 1
         if self.scope_buffer is not None and self.scope_buffer.lookup(scope):
-            self._scan_latency.sample(0)
             return 0, []
         if self.sbv is not None:
             set_indices = self.sbv.sets_to_scan()
@@ -222,7 +227,7 @@ class L1Cache(QueuedComponent):
         else:
             set_indices = list(range(self.array.num_sets))
         latency = max(1, len(set_indices) * self.config.scan_cycles_per_set)
-        self._scan_latency.sample(latency)
+        self._scan_cycles += latency
         wbs = []
         take = self.array.take_scope_lines
         for index in set_indices:
@@ -341,7 +346,7 @@ class L1Cache(QueuedComponent):
         line = self.array.lookup(addr, touch=False)
         if line is None:
             return False, 0
-        self._back_invalidations.add()
+        self._back_invalidations += 1
         self._invalidate_line(line)
         return line.dirty, line.version
 

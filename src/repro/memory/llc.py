@@ -29,7 +29,7 @@ from repro.sim.component import Component, QueuedComponent
 from repro.sim.config import CacheConfig, ScopeBufferConfig
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
-from repro.sim.stats import StatGroup
+from repro.sim.stats import Number, mean_into
 
 _LOAD = MessageType.LOAD
 _LOAD_RESP = MessageType.LOAD_RESP
@@ -58,22 +58,19 @@ class LastLevelCache(QueuedComponent):
         self.mem_link = mem_link
         self.resp_net = resp_net
         self.array = CacheArray(config.num_sets, config.ways, config.line_bytes)
-        self.stats = StatGroup(name)
-        # Hit/miss counters are batched as plain ints and synced into the
-        # StatGroup at snapshot time.
+        # Plain-int counters (one attribute bump each), read by snapshot().
         self._hits = 0
         self._misses = 0
-        self.stats.register_flush(self._flush_stats)
-        self._scan_latency = self.stats.mean("scan_latency")
-        self._flushed_lines = self.stats.counter("flushed_lines")
+        self._scan_cycles = 0
+        self._scans = 0
+        self._flushed_lines = 0
         self._hit_latency = config.hit_latency
         # Pre-bound callables for the per-request hot path.
         self._resp_offer = resp_net.offer
         self._mem_offer = mem_link.offer
-        self.scope_buffer = ScopeBuffer(
-            scope_buffer_cfg.sets, scope_buffer_cfg.ways, self.stats
-        )
-        self.sbv = ScopeBitVector(config.num_sets, self.stats)
+        self.scope_buffer = ScopeBuffer(scope_buffer_cfg.sets,
+                                        scope_buffer_cfg.ways)
+        self.sbv = ScopeBitVector(config.num_sets)
         #: Ablation switches (Section IV motivates both structures by
         #: what scans cost without them).
         self.scope_buffer_enabled = scope_buffer_enabled
@@ -90,19 +87,26 @@ class LastLevelCache(QueuedComponent):
         #: ``_install`` gives the line and ``take_scope_lines`` flushes
         #: by, kept at MSHR allocate/complete for the flush point.
         self._scope_fetches: Dict[int, int] = {}
-        if emit_mshr_stats:
-            # Opt-in: the extra snapshot keys re-baseline result digests,
-            # so only non-default MSHR configurations export them.
-            self.mshr_file.attach_stats(self.stats)
+        # Opt-in: the extra snapshot keys re-baseline result digests, so
+        # only non-default MSHR configurations export them.
+        self._emit_mshr_stats = emit_mshr_stats
         self._pending_wbs: deque = deque()
         self._head_scanned = False
         #: Stall-attribution bucket (Tracer-owned dict) when tracing.
         self._stalls = None
 
-    def _flush_stats(self) -> None:
-        stats = self.stats
-        stats.counter("hits").value = self._hits
-        stats.counter("misses").value = self._misses
+    def snapshot(self) -> Dict[str, Number]:
+        """This cache's statistics as one flat dict."""
+        out: Dict[str, Number] = {}
+        mean_into(out, "scan_latency", self._scan_cycles, self._scans)
+        out["flushed_lines"] = self._flushed_lines
+        out["hit_rate"] = self.scope_buffer.hit_rate
+        out["skipped_set_ratio"] = self.sbv.mean_skipped_ratio
+        if self._emit_mshr_stats:
+            self.mshr_file.snapshot(out)
+        out["hits"] = self._hits
+        out["misses"] = self._misses
+        return out
 
     # ------------------------------------------------------------------ #
     # request handling
@@ -348,8 +352,8 @@ class LastLevelCache(QueuedComponent):
         blocks the LLC (Fig. 10c counts scope-buffer hits as zero-cycle
         scans).
         """
+        self._scans += 1
         if self.scope_buffer_enabled and self.scope_buffer.lookup(scope):
-            self._scan_latency.sample(0)
             return 0
         if self.sbv_enabled:
             set_indices = self.sbv.sets_to_scan()
@@ -357,7 +361,7 @@ class LastLevelCache(QueuedComponent):
             set_indices = list(range(self.array.num_sets))
         self.sbv.record_scan(len(set_indices))
         latency = max(1, len(set_indices) * self.config.scan_cycles_per_set)
-        self._scan_latency.sample(latency)
+        self._scan_cycles += latency
         take = self.array.take_scope_lines
         update = self.sbv.update_on_eviction
         for index in set_indices:
@@ -365,7 +369,7 @@ class LastLevelCache(QueuedComponent):
             for line in flushed:
                 dirty, version = self._recall_line(line)
                 self._dir.pop(line.addr, None)
-                self._flushed_lines.value += 1
+                self._flushed_lines += 1
                 if dirty:
                     self._queue_writeback(line.addr, line.scope, version)
             update(index, has_pim)

@@ -18,14 +18,14 @@ back-pressure reaches the host (Section VII).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.memory.versioned import VersionedMemory
 from repro.sim.component import Component
 from repro.sim.config import MemoryConfig
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
-from repro.sim.stats import StatGroup
+from repro.sim.stats import Number, mean_into
 
 _LOAD = MessageType.LOAD
 _STORE = MessageType.STORE
@@ -57,14 +57,11 @@ class MemoryController(Component):
         # Insertion-ordered dedup of parked senders (O(1) membership).
         self._waiting_senders: dict = {}
         self._busy = False
-        self.stats = StatGroup(name)
-        # Service counters are batched as plain ints and synced into the
-        # StatGroup at snapshot time.
+        # Plain-int counters (one attribute bump each), read by snapshot().
         self._served = 0
         self._pim_forwarded = 0
-        self.stats.register_flush(self._flush_stats)
-        self._queue_len = self.stats.mean("queue_length_at_arrival",
-                                          extremes=False)
+        self._arrivals = 0
+        self._queue_len_total = 0
         # DRAM timing, read once per served message.
         self._dram_interval = config.dram_service_interval
         self._dram_latency = config.dram_latency
@@ -78,18 +75,6 @@ class MemoryController(Component):
         self._burst_mask = ~(64 * burst_len - 1)
         self._bursts = 0
         self._burst_msgs = 0
-        if self._burst_enabled:
-            # Opt-in stats: new snapshot keys re-baseline result digests,
-            # so only burst-enabled configurations export them.
-            bursts = self.stats.counter("bursts_issued")
-            length = self.stats.mean("burst_length", extremes=False)
-
-            def _flush_burst() -> None:
-                bursts.value = self._bursts
-                length.total = self._burst_msgs
-                length.count = self._bursts
-
-            self.stats.register_flush(_flush_burst)
         # Pre-bound callables for the per-request hot path.
         self._serve_bound = self._serve
         self._service_done_bound = self._service_done
@@ -97,10 +82,19 @@ class MemoryController(Component):
         #: Stall-attribution bucket (Tracer-owned dict) when tracing.
         self._stalls = None
 
-    def _flush_stats(self) -> None:
-        stats = self.stats
-        stats.counter("requests_served").value = self._served
-        stats.counter("pim_ops_forwarded").value = self._pim_forwarded
+    def snapshot(self) -> Dict[str, Number]:
+        """This controller's statistics as one flat dict."""
+        out: Dict[str, Number] = {}
+        mean_into(out, "queue_length_at_arrival", self._queue_len_total,
+                  self._arrivals)
+        if self._burst_enabled:
+            # Opt-in: new snapshot keys re-baseline result digests, so
+            # only burst-enabled configurations export them.
+            out["bursts_issued"] = self._bursts
+            mean_into(out, "burst_length", self._burst_msgs, self._bursts)
+        out["requests_served"] = self._served
+        out["pim_ops_forwarded"] = self._pim_forwarded
+        return out
 
     # ------------------------------------------------------------------ #
     # producer side
@@ -112,9 +106,8 @@ class MemoryController(Component):
             if sender is not None:
                 self._waiting_senders[sender] = None
             return False
-        stat = self._queue_len
-        stat.total += len(queue)
-        stat.count += 1
+        self._queue_len_total += len(queue)
+        self._arrivals += 1
         queue.append(msg)
         if msg.mtype is _PIM_OP:
             # Arrival at the MC is the ordering point: ACK now (Fig. 6a-b).
@@ -300,7 +293,3 @@ class MemoryController(Component):
         self._waiting_senders = {}
         for waiter in waiters:
             waiter.unblock()
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._queue)

@@ -18,11 +18,10 @@ line-granular timing model does not need.
 
 Hot-path conventions: the owning cache keeps a direct reference to
 :attr:`MshrFile.entries` for the per-access ``get``; all counters are
-plain ints bumped inline and exported to a :class:`~repro.sim.stats
-.StatGroup` only when the owner opts in (``attach_stats``) -- the
-default configuration emits no new stat keys, which is what keeps
-default-config result digests byte-identical across this subsystem's
-introduction.
+plain ints bumped inline and added to the owner's snapshot only when
+the owner opts in (``emit_mshr_stats``) -- the default configuration
+emits no new stat keys, which is what keeps default-config result
+digests byte-identical across this subsystem's introduction.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.sim.messages import Message
+from repro.sim.stats import Number, mean_into
 
 
 class MshrEntry:
@@ -71,8 +71,8 @@ class MshrFile:
         # -- plain-int counters (see module docstring) ----------------- #
         self.coalesced_misses = 0
         #: Hits served while at least one miss was outstanding (the
-        #: cache's owner bumps this inline; it lives here so one flush
-        #: callback exports the whole MSHR story).
+        #: cache's owner bumps this inline; it lives here so one
+        #: snapshot exports the whole MSHR story).
         self.hit_under_miss = 0
         self.refills = 0
         self.occupancy_total = 0
@@ -113,28 +113,16 @@ class MshrFile:
             self.refills += 1
         return entry
 
-    # ------------------------------------------------------------------ #
-    # stats export (opt-in: emitting new keys re-baselines digests)
-    # ------------------------------------------------------------------ #
+    def snapshot(self, out: Dict[str, Number]) -> None:
+        """Add ``mshr_occupancy`` (mean over allocations),
+        ``mshr_refills``, ``coalesced_misses`` and ``hit_under_miss`` to
+        the owner's snapshot ``out``.
 
-    def attach_stats(self, stats) -> None:
-        """Register this file's counters on a ``StatGroup``.
-
-        Adds ``mshr_occupancy`` (mean over allocations), ``mshr_refills``,
-        ``coalesced_misses`` and ``hit_under_miss`` to the group's
-        snapshots.  Call only for non-default MSHR configurations: a
+        Owners call this only for non-default MSHR configurations: a
         snapshot key that exists changes every pinned result digest.
         """
-        occupancy = stats.mean("mshr_occupancy", extremes=False)
-        refills = stats.counter("mshr_refills")
-        coalesced = stats.counter("coalesced_misses")
-        hum = stats.counter("hit_under_miss")
-
-        def _flush() -> None:
-            occupancy.total = self.occupancy_total
-            occupancy.count = self.occupancy_samples
-            refills.value = self.refills
-            coalesced.value = self.coalesced_misses
-            hum.value = self.hit_under_miss
-
-        stats.register_flush(_flush)
+        mean_into(out, "mshr_occupancy", self.occupancy_total,
+                  self.occupancy_samples)
+        out["mshr_refills"] = self.refills
+        out["coalesced_misses"] = self.coalesced_misses
+        out["hit_under_miss"] = self.hit_under_miss

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from repro.sim.stats import StatGroup
-
 
 class ScopeBitVector:
     """Tracks which cache sets may contain PIM-enabled lines.
@@ -25,13 +23,14 @@ class ScopeBitVector:
     scans are the simulator's single most expensive handler.
     """
 
-    def __init__(self, num_sets: int, stats: StatGroup = None) -> None:
+    def __init__(self, num_sets: int) -> None:
         if num_sets <= 0:
             raise ValueError("need at least one set")
         self.num_sets = num_sets
         self._marked: Set[int] = set()
-        self.stats = stats if stats is not None else StatGroup("sbv")
-        self._skip_ratio = self.stats.ratio("skipped_set_ratio")
+        #: Scans recorded and the sets they skipped (Fig. 10d).
+        self.scans = 0
+        self.skipped_sets = 0
 
     def mark(self, set_index: int) -> None:
         """A PIM line was inserted into ``set_index``."""
@@ -53,11 +52,13 @@ class ScopeBitVector:
 
     def record_scan(self, scanned: int) -> None:
         """Account one scan: ``scanned`` sets visited out of ``num_sets``."""
-        self._skip_ratio.add(self.num_sets - scanned, self.num_sets)
+        self.scans += 1
+        self.skipped_sets += self.num_sets - scanned
 
     @property
     def mean_skipped_ratio(self) -> float:
-        return self._skip_ratio.ratio
+        sets = self.scans * self.num_sets
+        return self.skipped_sets / sets if sets else 0.0
 
     def popcount(self) -> int:
         return len(self._marked)

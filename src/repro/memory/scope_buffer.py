@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.sim.stats import StatGroup
-
 
 class ScopeBuffer:
     """Set-associative scope cache with LRU replacement.
@@ -29,15 +27,16 @@ class ScopeBuffer:
     False
     """
 
-    def __init__(self, sets: int, ways: int, stats: StatGroup = None) -> None:
+    def __init__(self, sets: int, ways: int) -> None:
         if sets <= 0 or ways <= 0:
             raise ValueError("scope buffer geometry must be positive")
         self.sets = sets
         self.ways = ways
         self._entries: List[Dict[int, int]] = [dict() for _ in range(sets)]
         self._tick = 0
-        self.stats = stats if stats is not None else StatGroup("scope_buffer")
-        self._hit_rate = self.stats.ratio("hit_rate")
+        #: Recorded lookups and their hits (the Fig. 9 hit rate).
+        self.lookups = 0
+        self.hits = 0
 
     def _set_of(self, scope: int) -> Dict[int, int]:
         return self._entries[scope % self.sets]
@@ -50,7 +49,9 @@ class ScopeBuffer:
             self._tick += 1
             entry_set[scope] = self._tick
         if record:
-            self._hit_rate.record(hit)
+            self.lookups += 1
+            if hit:
+                self.hits += 1
         return hit
 
     def insert(self, scope: int) -> None:
@@ -72,7 +73,7 @@ class ScopeBuffer:
 
     @property
     def hit_rate(self) -> float:
-        return self._hit_rate.ratio
+        return self.hits / self.lookups if self.lookups else 0.0
 
     def occupancy(self) -> int:
         return sum(len(s) for s in self._entries)

@@ -35,7 +35,7 @@ from repro.sim.component import Component
 from repro.sim.config import PimModuleConfig
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
-from repro.sim.stats import StatGroup
+from repro.sim.stats import Number, mean_into
 
 _LOAD = MessageType.LOAD
 _STORE = MessageType.STORE
@@ -93,15 +93,13 @@ class PimModule(Component):
         self._throttled: set = set()
         # Insertion-ordered dedup of parked senders (O(1) membership).
         self._waiting_senders: dict = {}
-        self.stats = StatGroup(name)
-        self._buffer_at_arrival = self.stats.mean("buffer_len_at_arrival",
-                                                  extremes=False)
-        self._scopes_at_arrival = self.stats.mean("unique_scopes_at_arrival",
-                                                  extremes=False)
-        # Batched as plain ints, synced into the StatGroup at snapshot.
+        # Plain-int counters (one attribute bump each), read by snapshot():
+        # the Fig. 10a/b sums are sampled once per PIM-op arrival.
+        self._op_arrivals = 0
+        self._buffered_at_arrival = 0
+        self._scopes_at_arrival = 0
         self._executed = 0
         self._accesses = 0
-        self.stats.register_flush(self._flush_stats)
         # Pre-bound callables for the per-access hot path.
         self._resp_offer = resp_net.offer
         self._serve_access_bound = self._serve_access
@@ -111,19 +109,20 @@ class PimModule(Component):
         #: Stall-attribution bucket (Tracer-owned dict) when tracing.
         self._stalls = None
 
-    def _flush_stats(self) -> None:
-        stats = self.stats
-        stats.counter("ops_executed").value = self._executed
-        stats.counter("accesses_served").value = self._accesses
+    def snapshot(self) -> Dict[str, Number]:
+        """This module's statistics as one flat dict."""
+        out: Dict[str, Number] = {}
+        mean_into(out, "buffer_len_at_arrival", self._buffered_at_arrival,
+                  self._op_arrivals)
+        mean_into(out, "unique_scopes_at_arrival", self._scopes_at_arrival,
+                  self._op_arrivals)
+        out["ops_executed"] = self._executed
+        out["accesses_served"] = self._accesses
+        return out
 
     # ------------------------------------------------------------------ #
     # admission
     # ------------------------------------------------------------------ #
-
-    @property
-    def occupancy(self) -> int:
-        """Buffered (not yet executing) PIM ops."""
-        return self._buffered_ops
 
     def admission(self) -> Tuple[bool, bool]:
         """(op-buffer room, access-queue room): what may be offered now.
@@ -153,12 +152,9 @@ class PimModule(Component):
             trace.record(self.sim.now, self.name, msg.mtype.name, msg.op_id)
         if msg.mtype is _PIM_OP:
             # Fig. 10a/b statistics: sampled at op arrival, before insertion.
-            stat = self._buffer_at_arrival
-            stat.total += self._buffered_ops
-            stat.count += 1
-            stat = self._scopes_at_arrival
-            stat.total += self._scopes_with_queued_ops
-            stat.count += 1
+            self._op_arrivals += 1
+            self._buffered_at_arrival += self._buffered_ops
+            self._scopes_at_arrival += self._scopes_with_queued_ops
             self._buffered_ops += 1
             count = self._queued_ops_by_scope.get(msg.scope, 0)
             self._queued_ops_by_scope[msg.scope] = count + 1

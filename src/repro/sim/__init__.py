@@ -7,15 +7,14 @@ cores, and PIM module are built on:
 * :mod:`repro.sim.component` -- components with bounded, back-pressured
   input queues (the building block of every pipeline stage).
 * :mod:`repro.sim.messages` -- memory-system message types.
-* :mod:`repro.sim.stats` -- counters, means, histograms and time-weighted
-  statistics used to reproduce the paper's figures.
+* :mod:`repro.sim.stats` -- the mean convention, histograms and the
+  read-only view over component snapshots.
 * :mod:`repro.sim.config` -- configuration dataclasses (Table II defaults).
 """
 
 from repro.sim.kernel import Simulator
 from repro.sim.component import Component, QueuedComponent
 from repro.sim.messages import Message, MessageType
-from repro.sim.stats import Counter, MeanStat, RatioStat, StatGroup
 from repro.sim.config import (
     CacheConfig,
     CoreConfig,
@@ -31,10 +30,6 @@ __all__ = [
     "QueuedComponent",
     "Message",
     "MessageType",
-    "Counter",
-    "MeanStat",
-    "RatioStat",
-    "StatGroup",
     "CacheConfig",
     "CoreConfig",
     "MemoryConfig",

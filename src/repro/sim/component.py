@@ -72,7 +72,7 @@ class QueuedComponent(Component):
 
     __slots__ = ("capacity", "service_interval", "_queue",
                  "_waiting_senders", "_serving", "_stalled",
-                 "_notify_enqueue", "_notify_dequeue", "_serve_bound")
+                 "_notify_dequeue", "_serve_bound")
 
     def __init__(
         self,
@@ -91,11 +91,8 @@ class QueuedComponent(Component):
         self._waiting_senders: dict = {}
         self._serving = False
         self._stalled = False
-        # Skip the on_enqueue/on_dequeue hook calls entirely for the
-        # (common) subclasses that don't override them.
-        self._notify_enqueue = (
-            type(self).on_enqueue is not QueuedComponent.on_enqueue
-        )
+        # Skip the on_dequeue hook call entirely for the (common)
+        # subclasses that don't override it.
         self._notify_dequeue = (
             type(self).on_dequeue is not QueuedComponent.on_dequeue
         )
@@ -122,23 +119,14 @@ class QueuedComponent(Component):
                 self._waiting_senders[sender] = None
             return False
         queue.append(msg)
-        if self._notify_enqueue:
-            self.on_enqueue(msg)
         if not self._serving and not self._stalled:
             self._serving = True
             self.sim.call_at_now(self._serve_bound)
         return True
 
-    def on_enqueue(self, msg: Message) -> None:
-        """Hook: called when a message is accepted (stats sampling)."""
-
     @property
     def occupancy(self) -> int:
         return len(self._queue)
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._queue) >= self.capacity
 
     # ------------------------------------------------------------------ #
     # consumer side

@@ -85,9 +85,9 @@ class Simulator:
     def events_executed(self) -> int:
         """Number of events the kernel has executed so far.
 
-        The run loop batches this counter and syncs it on exit (and
-        before every ``stop_when`` call); a component callback reading
-        it *mid-run* sees the value as of the start of the run.
+        The run loop batches this counter and syncs it on exit; a
+        component callback reading it *mid-run* sees the value as of the
+        start of the run.
         """
         return self._events_executed
 
@@ -125,19 +125,12 @@ class Simulator:
         self._seq = seq = self._seq + 1
         self._ring.append((seq, callback, args))
 
-    def schedule_at(self, time: int, callback: Callable, *args: Any) -> None:
-        """Schedule ``callback(*args)`` at absolute cycle ``time``."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule in the past ({time} < {self.now})")
-        self.schedule(time - self.now, callback, *args)
-
     def stop(self) -> None:
         """Stop the run loop after the event currently executing.
 
-        Cheaper than a ``stop_when`` predicate: callers that know the
-        stopping condition flipped (e.g. the last core finished) set the
-        flag from inside their event instead of the kernel polling a
-        Python callable after every event.
+        Callers that know the stopping condition flipped (e.g. the last
+        core finished) set the flag from inside their event, so the loop
+        polls no predicate.
         """
         self._stop = True
 
@@ -145,14 +138,13 @@ class Simulator:
         self,
         until: Optional[int] = None,
         max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
     ) -> None:
-        """Run events until the queues drain or a bound is hit.
+        """Run events until the queues drain, a bound is hit or
+        :meth:`stop` is called.
 
         Args:
             until: stop once the next event would be later than this cycle.
             max_events: safety valve against runaway simulations.
-            stop_when: predicate checked after every event; ``True`` stops.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -260,13 +252,6 @@ class Simulator:
                 if self._stop:
                     self._stop = False
                     return
-                if stop_when is not None:
-                    # The predicate may read events_executed: sync the
-                    # deferred counter before calling it (costs nothing
-                    # on runs without a predicate).
-                    self._events_executed = events
-                    if stop_when():
-                        return
         finally:
             # Synced once on exit (normal, stop, or an exception out of a
             # callback): nothing in the timing model reads these mid-run,

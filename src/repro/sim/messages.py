@@ -35,21 +35,6 @@ class MessageType(enum.Enum):
     PIM_ACK = enum.auto()
     SCOPE_FENCE_ACK = enum.auto()
 
-    @property
-    def is_response(self) -> bool:
-        return self in _RESPONSES
-
-
-_RESPONSES = frozenset(
-    {
-        MessageType.LOAD_RESP,
-        MessageType.STORE_ACK,
-        MessageType.FLUSH_ACK,
-        MessageType.PIM_ACK,
-        MessageType.SCOPE_FENCE_ACK,
-    }
-)
-
 _ids = itertools.count()
 
 

@@ -1,9 +1,11 @@
-"""Statistics primitives for reproducing the paper's figures.
+"""Statistics helpers for reproducing the paper's figures.
 
 The paper reports sampled means (e.g. Fig. 10a: mean PIM-module buffer
 length *on PIM op arrival*), ratios (Fig. 9 scope-buffer hit rate,
-Fig. 10d SBV skipped-set ratio) and plain counters.  These small classes
-keep that bookkeeping uniform and cheap.
+Fig. 10d SBV skipped-set ratio) and plain counters.  Components count
+in plain int attributes, bumped inline on the hot path, and turn them
+into one flat dict in their ``snapshot()``; :func:`mean_into` writes a
+sampled mean there as ``name`` plus ``name_count``.
 
 The open-loop traffic layer adds :class:`HistogramStat`: a fixed-bucket
 HDR-style histogram for figure-grade latency percentiles (p50/p99/p999)
@@ -13,118 +15,30 @@ byte-stable across backends and histograms merge exactly across cores
 (bucket-count addition) -- the properties the Serial-vs-ProcessPool
 digest gates rely on.
 
-Hot-path conventions: callers on simulator fast paths increment
-``counter.value`` directly (or keep a plain int and register a
-:meth:`StatGroup.register_flush` callback that syncs it at snapshot
-time) instead of paying a method call per event, and sample hot means
-through :meth:`StatGroup.mean` with ``extremes=False`` so the per-sample
-min/max branches disappear when nothing reads them.
+:class:`StatsView` is the read side: attribute access over one
+component's snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Union
+from typing import Dict, Union
 
 Number = Union[int, float]
 
 
-class Counter:
-    """A monotonically increasing event counter.
+def mean_into(out: Dict[str, Number], name: str, total: Number,
+              count: int) -> None:
+    """Write a sampled mean as ``name`` plus ``name_count``.
 
-    ``add`` is the convenience API; hot paths write ``counter.value``
-    directly, and batched producers sync a plain local int into ``value``
-    from a flush callback instead of touching the counter per event.
+    The mean reads ``0.0`` when nothing was sampled.
+
+    >>> out = {}
+    >>> mean_into(out, "scan_latency", 76, 2)
+    >>> out
+    {'scan_latency': 38.0, 'scan_latency_count': 2}
     """
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Counter({self.name}={self.value})"
-
-
-class MeanStat:
-    """Mean of sampled values (e.g. buffer occupancy at op arrival)."""
-
-    __slots__ = ("name", "total", "count", "min", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.total: float = 0.0
-        self.count: int = 0
-        self.min: float = float("inf")
-        self.max: float = float("-inf")
-
-    def sample(self, value: Number) -> None:
-        self.total += value
-        self.count += 1
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"MeanStat({self.name}: mean={self.mean:.3f} n={self.count})"
-
-
-class _PlainMeanStat(MeanStat):
-    """A mean without per-sample min/max tracking (hot-path variant).
-
-    The reporting layer never exports min/max, so samplers on the
-    simulator's hot paths skip the two comparison branches per sample.
-    ``min``/``max`` read as the empty-stat sentinels.
-    """
-
-    __slots__ = ()
-
-    def sample(self, value: Number) -> None:
-        self.total += value
-        self.count += 1
-
-
-class RatioStat:
-    """Hits / lookups style ratio (scope buffer hit rate, SBV skip rate).
-
-    Counters stay integers until ``.ratio`` is read, so arbitrarily long
-    runs accumulate without floating-point precision loss (an int count
-    above 2**53 would silently stop incrementing as a float).
-    """
-
-    __slots__ = ("name", "numerator", "denominator")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.numerator: int = 0
-        self.denominator: int = 0
-
-    def record(self, hit: bool) -> None:
-        if hit:
-            self.numerator += 1
-        self.denominator += 1
-
-    def add(self, numerator: Number, denominator: Number) -> None:
-        self.numerator += numerator
-        self.denominator += denominator
-
-    @property
-    def ratio(self) -> float:
-        return self.numerator / self.denominator if self.denominator else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RatioStat({self.name}={self.ratio:.4f})"
+    out[name] = total / count if count else 0.0
+    out[name + "_count"] = count
 
 
 class HistogramStat:
@@ -295,74 +209,3 @@ class StatsView:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StatsView({self._name}: {len(self._data)} stats)"
-
-
-class StatGroup:
-    """A named bag of statistics, one per component, snapshot-able.
-
-    Components that batch a statistic in a plain local (an int they
-    increment inline) register a flush callback; :meth:`as_dict` runs the
-    callbacks first, so snapshots are always consistent while the hot
-    path never touches a stat object.  Flush callbacks must be
-    idempotent (assign, don't accumulate).
-
-    >>> g = StatGroup("llc")
-    >>> g.counter("scans").add()
-    >>> g.mean("scan_latency").sample(38)
-    >>> g.as_dict()["scans"]
-    1
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._stats: Dict[str, object] = {}
-        self._flushes: list = []
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def mean(self, name: str, extremes: bool = True) -> MeanStat:
-        """A mean stat; ``extremes=False`` skips min/max per sample."""
-        stat = self._stats.get(name)
-        if stat is None:
-            stat = MeanStat(name) if extremes else _PlainMeanStat(name)
-            self._stats[name] = stat
-        elif not isinstance(stat, MeanStat):
-            raise TypeError(f"stat {name!r} already exists with type {type(stat)}")
-        return stat
-
-    def ratio(self, name: str) -> RatioStat:
-        return self._get(name, RatioStat)
-
-    def histogram(self, name: str) -> HistogramStat:
-        return self._get(name, HistogramStat)
-
-    def register_flush(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` before every snapshot (idempotent sync)."""
-        self._flushes.append(callback)
-
-    def _get(self, name: str, cls):
-        stat = self._stats.get(name)
-        if stat is None:
-            stat = cls(name)
-            self._stats[name] = stat
-        elif not isinstance(stat, cls):
-            raise TypeError(f"stat {name!r} already exists with type {type(stat)}")
-        return stat
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flatten to ``{name: value}`` for reporting."""
-        for flush in self._flushes:
-            flush()
-        out: Dict[str, float] = {}
-        for name, stat in self._stats.items():
-            if isinstance(stat, Counter):
-                out[name] = stat.value
-            elif isinstance(stat, MeanStat):
-                out[name] = stat.mean
-                out[name + "_count"] = stat.count
-            elif isinstance(stat, RatioStat):
-                out[name] = stat.ratio
-            elif isinstance(stat, HistogramStat):
-                stat.snapshot(out)
-        return out

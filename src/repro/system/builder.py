@@ -254,9 +254,7 @@ class System:
                 # client stream fans out to every shard, so all cores
                 # share one arrival array (shard-level admission).
                 core.traffic = source = AdmissionQueue(
-                    arrival_times(traffic, requests),
-                    traffic.queue_depth, core.stats,
-                )
+                    arrival_times(traffic, requests), traffic.queue_depth)
                 self.traffic_sources.append(source)
             core.run_program(program)
             self._active_cores.append(core)
@@ -264,11 +262,10 @@ class System:
     def _core_finished(self, core: Core) -> None:
         """A core's ``done`` just turned true: count down toward the stop.
 
-        Replaces the old ``stop_when=lambda: all(c.done ...)`` predicate
-        the kernel had to re-evaluate after *every* event -- the cores
-        notify once each instead, and the last one flips the kernel's
-        stop flag from inside its own event, which stops the run at
-        exactly the same cycle the polling version did.
+        The cores notify once each instead of the kernel polling
+        ``all(c.done ...)`` after every event, and the last one flips the
+        kernel's stop flag from inside its own event, which stops the run
+        at exactly the cycle such a poll would.
         """
         self._unfinished -= 1
         if self._unfinished <= 0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from repro.sim.config import SystemConfig, config_from_dict, config_to_dict
-from repro.sim.stats import StatGroup, StatsView
+from repro.sim.stats import HistogramStat, StatsView
 from repro.system.builder import System
 
 #: Schema tag of the serialized :class:`SimulationResult` form.  Bump it
@@ -211,32 +211,28 @@ def run_workload(
 def collect_result(system: System, run_time: int) -> SimulationResult:
     """Snapshot a finished system's statistics."""
     stats: Dict[str, Dict[str, float]] = {
-        "llc": system.llc.stats.as_dict(),
-        "mc": system.mc.stats.as_dict(),
-        "pim": system.pim_module.stats.as_dict(),
+        "llc": system.llc.snapshot(),
+        "mc": system.mc.snapshot(),
+        "pim": system.pim_module.snapshot(),
     }
     for l1 in system.l1s:
-        stats[l1.name] = l1.stats.as_dict()
+        stats[l1.name] = l1.snapshot()
     for core in system.cores:
-        stats[core.name] = core.stats.as_dict()
-    if system.traffic_sources:
+        stats[core.name] = core.snapshot()
+    sources = system.traffic_sources
+    if sources:
         # Merge the per-core admission queues into one "traffic" group:
         # histograms merge exactly (bucket-count addition), counters sum.
-        merged = StatGroup("traffic")
-        latency = merged.histogram("latency")
-        depth = merged.histogram("queue_depth")
-        offered = merged.counter("req_offered")
-        admitted = merged.counter("req_admitted")
-        dropped = merged.counter("req_dropped")
-        completed = merged.counter("req_completed")
-        for source in system.traffic_sources:
-            latency.merge(source.latency)
-            depth.merge(source.queue_depth)
-            offered.value += source.offered
-            admitted.value += source.admitted
-            dropped.value += source.dropped
-            completed.value += source.completed
-        stats["traffic"] = merged.as_dict()
+        merged: Dict[str, float] = {}
+        for name in ("latency", "queue_depth"):
+            histogram = HistogramStat(name)
+            for source in sources:
+                histogram.merge(getattr(source, name))
+            histogram.snapshot(merged)
+        for name in ("offered", "admitted", "dropped", "completed"):
+            merged["req_" + name] = sum(getattr(source, name)
+                                        for source in sources)
+        stats["traffic"] = merged
     tracer = getattr(system, "tracer", None)
     return SimulationResult(
         config=system.config,

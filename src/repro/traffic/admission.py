@@ -13,17 +13,19 @@ asks the queue what to do with the next one:
   busy; the core skips the request body in O(1) (the marker carries the
   body length).
 
-All bookkeeping lives in the core's :class:`~repro.sim.stats.StatGroup`
-(counters ``req_offered/req_admitted/req_dropped/req_completed`` and
-histograms ``latency``/``queue_depth``), created only when traffic is
-open, so closed-loop snapshots gain no keys and default digests hold.
+The queue counts in plain ints (``offered``, ``admitted``, ``dropped``,
+``completed``) and two histograms (``latency``, ``queue_depth``), and
+:meth:`AdmissionQueue.snapshot` adds them to the core's snapshot as
+``req_*``, ``latency_*`` and ``queue_depth_*``.  Queues exist only when
+traffic is open, so closed-loop snapshots gain no keys and default
+digests hold.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
-from repro.sim.stats import StatGroup
+from repro.sim.stats import HistogramStat, Number
 
 #: ``poll`` verdicts: admitted now / shed; positive values are a wait.
 ADMIT = 0
@@ -40,20 +42,19 @@ class AdmissionQueue:
     """
 
     __slots__ = ("arrivals", "depth", "latency", "queue_depth",
-                 "_offered", "_admitted", "_dropped_ctr", "_completed",
+                 "offered", "admitted", "dropped", "completed",
                  "_next", "_waiting", "_shed", "_in_service",
                  "_service_arrival")
 
-    def __init__(self, arrivals: List[int], depth: Optional[int],
-                 stats: StatGroup) -> None:
+    def __init__(self, arrivals: List[int], depth: Optional[int]) -> None:
         self.arrivals = arrivals
         self.depth = depth
-        self._offered = stats.counter("req_offered")
-        self._admitted = stats.counter("req_admitted")
-        self._dropped_ctr = stats.counter("req_dropped")
-        self._completed = stats.counter("req_completed")
-        self.latency = stats.histogram("latency")
-        self.queue_depth = stats.histogram("queue_depth")
+        self.offered = 0
+        self.admitted = 0
+        self.dropped = 0
+        self.completed = 0
+        self.latency = HistogramStat("latency")
+        self.queue_depth = HistogramStat("queue_depth")
         self._next = 0          # first arrival not yet examined
         self._waiting = 0       # arrived, not shed, not yet in service
         self._shed: Set[int] = set()
@@ -66,10 +67,10 @@ class AdmissionQueue:
         n = len(arrivals)
         nxt = self._next
         while nxt < n and arrivals[nxt] <= now:
-            self._offered.value += 1
+            self.offered += 1
             if self.depth is not None and self._waiting >= self.depth:
                 self._shed.add(nxt)
-                self._dropped_ctr.value += 1
+                self.dropped += 1
             else:
                 self._waiting += 1
             nxt += 1
@@ -92,7 +93,7 @@ class AdmissionQueue:
         # is the head.  Sample depth including the departing request.
         self.queue_depth.record(self._waiting)
         self._waiting -= 1
-        self._admitted.value += 1
+        self.admitted += 1
         self._in_service = request
         self._service_arrival = self.arrivals[request]
         return ADMIT
@@ -105,21 +106,14 @@ class AdmissionQueue:
         """
         if self._in_service >= 0:
             self.latency.record(now - self._service_arrival)
-            self._completed.value += 1
+            self.completed += 1
             self._in_service = -1
 
-    @property
-    def offered(self) -> int:
-        return self._offered.value
-
-    @property
-    def admitted(self) -> int:
-        return self._admitted.value
-
-    @property
-    def dropped(self) -> int:
-        return self._dropped_ctr.value
-
-    @property
-    def completed(self) -> int:
-        return self._completed.value
+    def snapshot(self, out: Dict[str, Number]) -> None:
+        """Add the ``req_*`` counters and both histograms to ``out``."""
+        out["req_offered"] = self.offered
+        out["req_admitted"] = self.admitted
+        out["req_dropped"] = self.dropped
+        out["req_completed"] = self.completed
+        self.latency.snapshot(out)
+        self.queue_depth.snapshot(out)

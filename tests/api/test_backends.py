@@ -5,6 +5,9 @@ from dataclasses import asdict
 
 import pytest
 
+# tests/ is on sys.path (tests/conftest.py): the event budget is the
+# digest gate's, so a run that stops making progress fails fast.
+from api.test_default_digests import PINNED_MAX_EVENTS
 from repro.api import (
     Experiment,
     ProcessPoolBackend,
@@ -26,7 +29,7 @@ def _experiments():
             workload="ycsb",
             config=SystemConfig.scaled_default(model=model, num_scopes=4),
             params=asdict(PARAMS),
-            max_events=50_000_000,
+            max_events=PINNED_MAX_EVENTS,
         )
         for model in (ConsistencyModel.NAIVE, ConsistencyModel.ATOMIC,
                       ConsistencyModel.SCOPE)

@@ -5,6 +5,9 @@ from typing import List, Sequence
 
 import pytest
 
+# tests/ is on sys.path (tests/conftest.py): the event budget is the
+# digest gate's, so a run that stops making progress fails fast.
+from api.test_default_digests import PINNED_MAX_EVENTS
 from helpers import CountingBackend
 from repro.api import Experiment, ResultStore, Runner, SerialBackend
 from repro.api.backends import ExperimentFailure, execute_experiment
@@ -16,7 +19,7 @@ from repro.workloads.ycsb import YcsbParams, YcsbWorkload
 #: Small fixed-seed YCSB point; every model finishes in well under a second.
 PARAMS = YcsbParams(num_records=8000, num_ops=10, threads=4, seed=11)
 NUM_SCOPES = 4
-MAX_EVENTS = 50_000_000
+MAX_EVENTS = PINNED_MAX_EVENTS
 
 #: "All six consistency models" of the evaluation sweeps (Figs. 7-13).
 SIX_MODELS = [

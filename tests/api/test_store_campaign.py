@@ -19,6 +19,9 @@ import pytest
 
 import repro
 
+# tests/ is on sys.path (tests/conftest.py): the event budget is the
+# digest gate's, so a run that stops making progress fails fast.
+from api.test_default_digests import PINNED_MAX_EVENTS
 from helpers import CountingBackend
 from repro.api import (
     Axis,
@@ -43,7 +46,7 @@ def _fidelity_campaign() -> Campaign:
             "params": {"num_records": 8000, "num_ops": 10, "threads": 4,
                        "seed": 11},
             "config": {"preset": "scaled", "num_scopes": 4},
-            "max_events": 50_000_000,
+            "max_events": PINNED_MAX_EVENTS,
         },
         axes=(Axis("model", SIX_MODELS),),
     )
@@ -53,7 +56,7 @@ def _fidelity_campaign() -> Campaign:
             "workload": "tpch",
             "params": {"query": "q6", "scale": 0.015625, "runs": 1},
             "config": {"preset": "scaled", "num_scopes": 32},
-            "max_events": 50_000_000,
+            "max_events": PINNED_MAX_EVENTS,
         },
         axes=(Axis("model", ("naive", "scope")),),
     )
@@ -63,7 +66,7 @@ def _fidelity_campaign() -> Campaign:
             "workload": "litmus",
             "params": {"rounds": 3, "threads": 2},
             "config": {"preset": "scaled", "num_scopes": 2},
-            "max_events": 50_000_000,
+            "max_events": PINNED_MAX_EVENTS,
         },
         axes=(Axis("model", ("naive", "atomic")),),
     )
@@ -272,14 +275,14 @@ def _crash_campaign() -> Campaign:
                   base={"workload": "litmus",
                         "params": {"rounds": 2, "threads": 2},
                         "config": {"preset": "scaled", "num_scopes": 2},
-                        "max_events": 10_000_000},
+                        "max_events": PINNED_MAX_EVENTS // 2},
                   axes=(Axis("model", SIX_MODELS),)),
             Sweep(name="tpch",
                   base={"workload": "tpch",
                         "params": {"query": "q6", "scale": 1 / 256,
                                    "runs": 1},
                         "config": {"preset": "scaled"},
-                        "max_events": 50_000_000},
+                        "max_events": PINNED_MAX_EVENTS},
                   axes=(Axis("model", ("naive", "atomic")),)),
         ),
     )

@@ -5,6 +5,9 @@ import json
 
 import pytest
 
+# tests/ is on sys.path (tests/conftest.py): the event budget is the
+# digest gate's, so a run that stops making progress fails fast.
+from api.test_default_digests import PINNED_MAX_EVENTS
 from helpers import CountingBackend
 from repro.api import (
     Axis,
@@ -28,7 +31,7 @@ YCSB_BASE = {
     "workload": "ycsb",
     "params": {"num_records": 8000, "num_ops": 10, "threads": 4, "seed": 11},
     "config": {"preset": "scaled", "num_scopes": 4},
-    "max_events": 50_000_000,
+    "max_events": PINNED_MAX_EVENTS,
 }
 
 
@@ -236,8 +239,18 @@ def test_duplicate_points_simulate_once():
     assert result.points[0].result is result.points[1].result
 
 
+def _capped(campaign: Campaign) -> Campaign:
+    """``campaign`` with every point's event budget at PINNED_MAX_EVENTS,
+    so a livelocked point fails in seconds.  The budget is part of each
+    spec hash: the digest is no longer the registered campaign's."""
+    data = campaign.to_dict()
+    for sweep in data["sweeps"]:
+        sweep["base"]["max_events"] = PINNED_MAX_EVENTS
+    return Campaign.from_dict(data)
+
+
 def test_serial_and_process_pool_campaigns_match_stat_for_stat():
-    campaign = get_campaign("smoke")
+    campaign = _capped(get_campaign("smoke"))
     serial = run_campaign(campaign, runner=Runner(backend=SerialBackend()))
     pooled = run_campaign(
         campaign, runner=Runner(backend=ProcessPoolBackend(jobs=2)))
@@ -478,7 +491,7 @@ def test_sweep_specs_match_directly_constructed_experiments():
             "params": asdict(YcsbParams(num_records=8000, num_ops=10,
                                         threads=4, seed=11)),
             "config": {"preset": "scaled", "num_scopes": 4},
-            "max_events": 50_000_000,
+            "max_events": PINNED_MAX_EVENTS,
         },
         axes=(Axis("model", ("atomic",)),),
     )
@@ -488,7 +501,7 @@ def test_sweep_specs_match_directly_constructed_experiments():
                                            num_scopes=4),
         params=asdict(YcsbParams(num_records=8000, num_ops=10, threads=4,
                                  seed=11)),
-        max_events=50_000_000,
+        max_events=PINNED_MAX_EVENTS,
     )
     (point,) = sweep.points()
     assert point.experiment == direct

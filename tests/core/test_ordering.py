@@ -1,5 +1,10 @@
 """Happens-before graphs and the Fig. 1 cycle argument."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.core.ordering import HappensBefore, fig1_happens_before
 
 
@@ -99,3 +104,20 @@ def test_fig1_cycle_exists_iff_stale_read():
     assert cycle is not None
     assert set(cycle) >= {"W(A)", "W(B)", "PIMop"}
     assert fig1_happens_before(stale_read_of_a=False).is_consistent
+
+
+@pytest.mark.parametrize("stale", [True, False])
+def test_find_cycle_leaves_no_reference_cycle(stale):
+    """With the cyclic collector off, a searched graph is freed the
+    moment its last reference goes: the search leaves no garbage."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hb = fig1_happens_before(stale_read_of_a=stale)
+        assert (hb.find_cycle() is not None) == stale
+        ref = weakref.ref(hb)
+        del hb
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -25,18 +25,24 @@ def test_disabled_scope_buffer_scans_every_op(sim, scope_map):
     for _ in range(3):
         llc.offer(make_pim(0))
         sim.run()
-    stats = llc.stats.as_dict()
+    stats = llc.snapshot()
     assert stats["scan_latency_count"] == 3
-    assert llc._scan_latency.min > 0  # no zero-cost hits
+    # no zero-cost hits: the scope buffer was never consulted
+    assert llc.scope_buffer.lookups == 0
+    assert stats["hit_rate"] == 0.0
+    assert stats["scan_latency"] >= 1
 
 
 def test_disabled_sbv_scans_all_sets(sim, scope_map):
     llc, _ = _llc(sim, scope_map, sbv_enabled=False)
     llc.offer(make_pim(0))
     sim.run()
-    assert llc._scan_latency.max >= llc.array.num_sets
+    stats = llc.snapshot()
+    # one scan, over every set
+    assert stats["scan_latency_count"] == 1
+    assert stats["scan_latency"] >= llc.array.num_sets
     # and the skip ratio is zero: nothing was skipped
-    assert llc.stats.as_dict()["skipped_set_ratio"] == 0.0
+    assert stats["skipped_set_ratio"] == 0.0
 
 
 def test_enabled_is_default(sim, scope_map):
@@ -44,4 +50,8 @@ def test_enabled_is_default(sim, scope_map):
     llc.offer(make_pim(0))
     llc.offer(make_pim(0))
     sim.run()
-    assert llc._scan_latency.min == 0  # second op hit the scope buffer
+    stats = llc.snapshot()
+    # the second op hit the scope buffer
+    assert llc.scope_buffer.lookups == 2
+    assert stats["hit_rate"] == 0.5
+    assert stats["scan_latency_count"] == 2

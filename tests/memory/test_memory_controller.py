@@ -118,7 +118,7 @@ def test_module_backpressure_fills_mc_queue(sim, scope_map):
         sim.run(until=sim.now + 5)
     # 1 executing + 1 buffered + 4 in the MC queue
     assert accepted == 6
-    assert mc.occupancy == 4
+    assert len(mc._queue) == 4
     # Only PIM ops wait on the full buffer: _pick returns without a walk.
     assert mc._queued_ops == 4
     sim.run()
@@ -131,7 +131,7 @@ def test_pim_ops_to_distinct_scopes_flow_to_module(sim):
     for scope in range(4):
         mc.offer(make_pim(scope, reply_to=requester))
     sim.run()
-    assert module.stats.as_dict()["ops_executed"] == 4
+    assert module.snapshot()["ops_executed"] == 4
     assert sim.now < 4 * 50  # scopes executed in parallel
 
 
@@ -140,7 +140,7 @@ def test_queue_length_stat_sampled_at_arrival(sim):
     requester = ResponseCollector()
     mc.offer(make_load(0x100, reply_to=requester))
     mc.offer(make_load(0x200, reply_to=requester))
-    assert mc.stats.as_dict()["queue_length_at_arrival_count"] == 2
+    assert mc.snapshot()["queue_length_at_arrival_count"] == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -159,7 +159,7 @@ def test_burst_fuses_same_window_accesses(sim):
         mc.offer(make_load(addr, reply_to=requester))
     sim.run()
     assert len(requester.of_type(MessageType.LOAD_RESP)) == 4
-    snap = mc.stats.as_dict()
+    snap = mc.snapshot()
     # Window trio fused into one burst, the outlier issued alone.
     assert snap["bursts_issued"] == 2
     assert snap["burst_length"] == 2.0  # (3 + 1) / 2
@@ -188,7 +188,7 @@ def test_burst_skips_pim_scope_traffic(sim, scope_map):
     mc.offer(make_load(scope0.base + 64, scope=0, reply_to=requester))
     sim.run()
     assert len(requester.of_type(MessageType.LOAD_RESP)) == 2
-    assert mc.stats.as_dict()["burst_length"] == 1.0
+    assert mc.snapshot()["burst_length"] == 1.0
 
 
 def test_default_burst_len_emits_no_burst_stats(sim):
@@ -196,7 +196,7 @@ def test_default_burst_len_emits_no_burst_stats(sim):
     requester = ResponseCollector()
     mc.offer(make_load(0x9000, reply_to=requester))
     sim.run()
-    snap = mc.stats.as_dict()
+    snap = mc.snapshot()
     assert "bursts_issued" not in snap and "burst_length" not in snap
 
 

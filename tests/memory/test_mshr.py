@@ -21,7 +21,6 @@ from repro.memory.l1 import L1Cache
 from repro.memory.mshr import MshrFile
 from repro.sim.config import CacheConfig
 from repro.sim.messages import Message, MessageType
-from repro.sim.stats import StatGroup
 
 #: 4 KiB / 4 ways / 64 B lines -> 16 sets; +0x400 is the same-set stride.
 SET_STRIDE = 0x400
@@ -90,26 +89,25 @@ def test_coalesce_refused_when_disabled():
     assert f.coalesced_misses == 0
 
 
-def test_attach_stats_exports_counters():
+def test_snapshot_exports_counters():
     f = MshrFile(2)
-    stats = StatGroup("l1.0")
-    f.attach_stats(stats)
     entry = f.allocate(0x1000, False)
     f.coalesce(entry, make_load(0x1000), False)
     f.hit_under_miss = 3
     f.complete(0x1000)
-    snap = stats.as_dict()
-    assert snap["mshr_refills"] == 1
-    assert snap["coalesced_misses"] == 1
-    assert snap["hit_under_miss"] == 3
-    assert snap["mshr_occupancy"] == 1.0
+    snap = {}
+    f.snapshot(snap)
+    assert snap == {"mshr_occupancy": 1.0, "mshr_occupancy_count": 1,
+                    "mshr_refills": 1, "coalesced_misses": 1,
+                    "hit_under_miss": 3}
 
 
-def test_stats_silent_without_attach():
-    f = MshrFile(2)
-    stats = StatGroup("l1.0")
-    f.allocate(0x1000, False)
-    assert not any("mshr" in k for k in stats.as_dict())
+def test_cache_snapshot_silent_without_opt_in(sim, scope_map):
+    silent, _ = _l1(sim, scope_map, emit_mshr_stats=False)
+    silent.mshr_file.allocate(0x1000, False)
+    assert not any("mshr" in k for k in silent.snapshot())
+    explicit, _ = _l1(sim, scope_map)
+    assert set(explicit.snapshot()) - set(silent.snapshot()) == set(MSHR_STATS)
 
 
 # ---------------------------------------------------------------------- #

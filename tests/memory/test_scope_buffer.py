@@ -52,7 +52,7 @@ def test_unrecorded_peek_does_not_move_hit_rate():
     sb = ScopeBuffer(sets=4, ways=2)
     sb.insert(1)
     sb.lookup(1, record=False)
-    assert sb.stats.ratio("hit_rate").denominator == 0
+    assert (sb.lookups, sb.hits, sb.hit_rate) == (0, 0, 0.0)
 
 
 def test_storage_bits():

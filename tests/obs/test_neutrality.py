@@ -7,7 +7,8 @@ ring + flight recorder armed).  If a trace hook ever schedules an
 event, mutates a message, or perturbs a queue decision,
 these digests move and this file fails before any baseline silently
 re-pins.  With tracing off, the hook sites make no call into
-``repro/obs/`` at all.
+``repro/obs/`` at all, and components count in plain ints: a run calls
+into ``repro/sim/stats.py`` only to sample open-loop histograms.
 """
 
 import os
@@ -15,6 +16,7 @@ import os
 import pytest
 
 import repro.obs
+import repro.sim.stats
 from repro.api.backends import execute_experiment
 from repro.api.experiment import Experiment
 from repro.obs.trace import Tracer, stall_totals
@@ -119,6 +121,24 @@ def test_untraced_run_makes_no_call_into_obs():
     code = Tracer.record.__code__
     record = (code.co_filename, code.co_firstlineno, code.co_name)
     assert obs_calls(traced).get(record, 0) > 0
+
+
+#: The only calls into ``repro/sim/stats.py`` a pinned config makes
+#: inside ``System.run``: the open-loop latency and queue-depth samples.
+_STATS_CALLS = {"ycsb-c-openloop": {"record": 480, "_index": 480}}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+def test_run_calls_into_stats_only_for_histogram_samples(name):
+    """Counters and means are plain ints on the components, so the run
+    loop makes no call into the stats module for them."""
+    stats_file = repro.sim.stats.__file__
+    _, profile = profile_run(_PINNED_CONFIGS[name][0])
+    calls = {}
+    for (filename, _, function), row in profile.stats.items():
+        if filename == stats_file:
+            calls[function] = calls.get(function, 0) + row[1]
+    assert calls == _STATS_CALLS.get(name, {})
 
 
 def test_trace_overlay_leaves_the_spec_hash_alone():

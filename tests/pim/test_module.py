@@ -69,7 +69,7 @@ def test_unbounded_buffer(sim):
     assert all(module.offer(make_pim(0)) for _ in range(500))
     assert module.admission() == (True, True)
     sim.run()
-    assert module.stats.as_dict()["ops_executed"] == 500
+    assert module.snapshot()["ops_executed"] == 500
 
 
 def test_zero_logic_latency(sim):
@@ -129,7 +129,7 @@ def test_buffer_stats_sampled_at_arrival(sim):
     module, _ = _module(sim, capacity=8, op_latency=1000)
     for i in range(4):
         module.offer(make_pim(i % 2))
-    stats = module.stats.as_dict()
+    stats = module.snapshot()
     assert stats["buffer_len_at_arrival_count"] == 4
     # arrivals saw 0, 1, 2, 3 queued... minus dispatched; mean is small
     assert 0 <= stats["buffer_len_at_arrival"] <= 3

@@ -45,22 +45,6 @@ def test_schedule_during_run():
     assert sim.now == 6
 
 
-def test_schedule_at_absolute_time():
-    sim = Simulator()
-    hits = []
-    sim.schedule_at(10, hits.append, "x")
-    sim.run()
-    assert sim.now == 10 and hits == ["x"]
-
-
-def test_schedule_in_past_raises():
-    sim = Simulator()
-    sim.schedule(5, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(3, lambda: None)
-
-
 def test_negative_delay_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -89,15 +73,6 @@ def test_max_events_guard():
     sim.schedule(0, forever)
     with pytest.raises(SimulationError):
         sim.run(max_events=100)
-
-
-def test_stop_when_predicate():
-    sim = Simulator()
-    hits = []
-    for i in range(10):
-        sim.schedule(i + 1, hits.append, i)
-    sim.run(stop_when=lambda: len(hits) >= 4)
-    assert hits == [0, 1, 2, 3]
 
 
 def test_events_executed_counter():
@@ -271,7 +246,7 @@ def test_schedule_at_current_cycle_rides_the_ring():
 
     def at_five():
         order.append("event")
-        sim.schedule_at(sim.now, order.append, "same-cycle")
+        sim.schedule(0, order.append, "same-cycle")
 
     sim.schedule(5, at_five)
     sim.schedule(6, order.append, "next-cycle")
@@ -292,17 +267,20 @@ def test_wheel_heap_and_ring_interleave_in_scheduling_order():
         order.append("wheel-early")
         sim.schedule(0, order.append, "ring")  # youngest: runs last
 
+    def trampoline():
+        sim.schedule(target - sim.now, runner)
+
     # Scheduled first (lowest seq), lands on the heap (delay > horizon).
-    sim.schedule_at(target, order.append, "heap-a")
+    sim.schedule(target - sim.now, order.append, "heap-a")
     # Scheduled second, via the wheel (delay < horizon after advancing).
-    sim.schedule(WHEEL_SLOTS - 3, sim.schedule_at, target, runner)
+    sim.schedule(WHEEL_SLOTS - 3, trampoline)
     # Scheduled third, another heap entry at the same cycle.
-    sim.schedule_at(target, order.append, "heap-b")
+    sim.schedule(target - sim.now, order.append, "heap-b")
     sim.run()
     # Sequence numbers: heap-a and heap-b drew theirs at cycle 0; the
     # wheel entry drew its own only at cycle WHEEL_SLOTS-3 (when the
-    # trampoline called schedule_at), so it is younger than both heap
-    # entries; the ring entry, created at `target` itself, is youngest.
+    # trampoline scheduled it), so it is younger than both heap entries;
+    # the ring entry, created at `target` itself, is youngest.
     assert order == ["heap-a", "heap-b", "wheel-early", "ring"]
     assert sim.now == target
 
@@ -320,17 +298,6 @@ def test_stop_mid_cycle_preserves_wheel_entries():
     sim.run()
     assert hits == ["a", "b"]
     assert sim.now == 3
-
-
-def test_stop_when_sees_live_events_executed():
-    """The run loop batches the event counter, but syncs it before
-    every stop_when call -- a predicate reading it must see the live
-    value, not the start-of-run one."""
-    sim = Simulator()
-    for i in range(10):
-        sim.schedule(i + 1, lambda: None)
-    sim.run(stop_when=lambda: sim.events_executed >= 4)
-    assert sim.events_executed == 4
 
 
 def test_pending_events_mid_run_counts_current_bucket():

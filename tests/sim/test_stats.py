@@ -1,102 +1,82 @@
-"""Statistics primitives."""
+"""The mean and ratio statistics, and the key families of snapshots."""
 
 import pytest
 
-from repro.sim.stats import Counter, MeanStat, RatioStat, StatGroup
-
-
-def test_counter():
-    c = Counter("x")
-    c.add()
-    c.add(4)
-    assert c.value == 5
-    assert int(c) == 5
+from repro.api.backends import execute_experiment
+from repro.api.experiment import Experiment
+from repro.memory.sbv import ScopeBitVector
+from repro.memory.scope_buffer import ScopeBuffer
+from repro.sim.stats import mean_into
 
 
 def test_mean_stat():
-    m = MeanStat("x")
-    for v in (2, 4, 9):
-        m.sample(v)
-    assert m.mean == pytest.approx(5.0)
-    assert m.min == 2 and m.max == 9 and m.count == 3
+    out = {}
+    mean_into(out, "lat", 2 + 4 + 9, 3)
+    assert out == {"lat": pytest.approx(5.0), "lat_count": 3}
 
 
 def test_mean_stat_empty_is_zero():
-    assert MeanStat("x").mean == 0.0
+    out = {}
+    mean_into(out, "lat", 0, 0)
+    assert out == {"lat": 0.0, "lat_count": 0}
+    assert isinstance(out["lat"], float)
 
 
 def test_ratio_stat_record_and_add():
-    r = RatioStat("x")
-    r.record(True)
-    r.record(False)
-    r.record(True)
-    assert r.ratio == pytest.approx(2 / 3)
-    r2 = RatioStat("y")
-    r2.add(1900, 2048)
-    assert r2.ratio == pytest.approx(1900 / 2048)
+    """The scope buffer records each lookup; the SBV adds each scan's
+    skipped sets."""
+    sb = ScopeBuffer(sets=4, ways=2)
+    sb.insert(1)
+    for scope in (1, 2, 1):
+        sb.lookup(scope)
+    assert sb.hit_rate == pytest.approx(2 / 3)
+    sbv = ScopeBitVector(2048)
+    sbv.record_scan(148)
+    assert sbv.mean_skipped_ratio == pytest.approx(1900 / 2048)
 
 
 def test_ratio_stat_empty_is_zero():
-    assert RatioStat("x").ratio == 0.0
-
-
-def test_stat_group_reuses_and_flattens():
-    g = StatGroup("llc")
-    g.counter("scans").add(3)
-    assert g.counter("scans").value == 3  # same object
-    g.mean("lat").sample(10)
-    g.ratio("hit").record(True)
-    d = g.as_dict()
-    assert d["scans"] == 3
-    assert d["lat"] == 10
-    assert d["lat_count"] == 1
-    assert d["hit"] == 1.0
-
-
-def test_stat_group_type_conflict():
-    g = StatGroup("x")
-    g.counter("a")
-    with pytest.raises(TypeError):
-        g.mean("a")
+    assert ScopeBuffer(sets=4, ways=2).hit_rate == 0.0
+    assert ScopeBitVector(8).mean_skipped_ratio == 0.0
 
 
 def test_ratio_stat_keeps_integer_counters():
-    """Counters stay ints until .ratio is read, so counts beyond float
-    precision (2**53) keep accumulating exactly."""
-    r = RatioStat("x")
+    """Counters stay ints until the ratio is read, so counts beyond
+    float precision (2**53) keep accumulating exactly."""
+    sb = ScopeBuffer(sets=1, ways=1)
     big = 2 ** 53
-    r.add(big, big)
-    r.record(True)
-    assert isinstance(r.numerator, int)
-    assert r.numerator == big + 1  # a float accumulator would drop the +1
-    assert r.denominator == big + 1
-    assert r.ratio == 1.0
+    sb.lookups = sb.hits = big
+    sb.insert(0)
+    sb.lookup(0)
+    assert isinstance(sb.hits, int)
+    assert sb.hits == sb.lookups == big + 1  # a float would drop the +1
+    assert sb.hit_rate == 1.0
 
 
-def test_mean_without_extremes_matches_mean_with():
-    g = StatGroup("g")
-    fast = g.mean("fast", extremes=False)
-    slow = g.mean("slow")
-    for v in (3, 1, 4, 1, 5):
-        fast.sample(v)
-        slow.sample(v)
-    assert fast.mean == slow.mean
-    assert fast.count == slow.count
-    assert slow.min == 1 and slow.max == 5
-    d = g.as_dict()
-    assert d["fast"] == d["slow"]  # identical exported statistics
+#: Snapshot keys whose value is a float (a mean or a ratio); every
+#: other key is an int counter.
+_FLOAT_KEYS = {"scan_latency", "hit_rate", "skipped_set_ratio",
+               "queue_length_at_arrival", "buffer_len_at_arrival",
+               "unique_scopes_at_arrival"}
 
 
-def test_stat_group_flush_callbacks_sync_before_snapshot():
-    g = StatGroup("g")
-    counter = g.counter("hits")
-    local = {"hits": 0}
-
-    def flush():
-        counter.value = local["hits"]
-
-    g.register_flush(flush)
-    local["hits"] = 41
-    assert g.as_dict()["hits"] == 41
-    local["hits"] = 42
-    assert g.as_dict()["hits"] == 42  # idempotent re-sync
+@pytest.mark.parametrize("model", ["atomic", "scope-relaxed"])
+def test_snapshot_keys_and_value_types(model):
+    spec = {"workload": "litmus", "params": {"rounds": 2, "threads": 2},
+            "config": {"preset": "scaled", "model": model,
+                       "num_scopes": 2},
+            "max_events": 1_000_000}
+    stats = execute_experiment(Experiment.from_dict(spec)).stats
+    for group, values in stats.items():
+        for key, value in values.items():
+            expected = float if key in _FLOAT_KEYS else int
+            assert type(value) is expected, (group, key, value)
+    # The L1 scope buffer and SBV exist only under scope-relaxed.
+    l1 = stats["l1.0"]
+    assert ("hit_rate" in l1) == (model == "scope-relaxed")
+    assert ("skipped_set_ratio" in l1) == (model == "scope-relaxed")
+    # The default configuration opts into no MSHR, burst or traffic keys.
+    assert not any(key.startswith(("mshr_", "burst", "req_", "latency_"))
+                   or key in ("coalesced_misses", "hit_under_miss")
+                   for values in stats.values() for key in values)
+    assert "traffic" not in stats

@@ -14,6 +14,9 @@ import pytest
 
 from dataclasses import asdict
 
+# tests/ is on sys.path (tests/conftest.py): the event budget is the
+# digest gate's, so a run that stops making progress fails fast.
+from api.test_default_digests import PINNED_MAX_EVENTS
 from repro.api import Experiment, Runner
 from repro.core.models import ConsistencyModel
 from repro.sim.config import SystemConfig
@@ -33,7 +36,7 @@ def _experiment(model):
         config=SystemConfig.scaled_default(model=model,
                                            num_scopes=NUM_SCOPES),
         params=asdict(PARAMS),
-        max_events=50_000_000,
+        max_events=PINNED_MAX_EVENTS,
     )
 
 

@@ -8,7 +8,8 @@ boundaries, ceiling-rank percentiles, the max clamp, and exact merging
 
 import pytest
 
-from repro.sim.stats import HistogramStat, StatGroup
+from repro.sim.stats import HistogramStat
+from repro.traffic.admission import ADMIT, AdmissionQueue
 
 
 def _hist(values, name="latency"):
@@ -103,14 +104,16 @@ def test_negative_samples_clamp_to_zero():
     assert h.min == 0 and h.max == 0
 
 
-def test_stat_group_integration():
-    g = StatGroup("traffic")
-    g.histogram("latency").record(100)
-    g.counter("req_offered").add(3)
-    out = g.as_dict()
+def test_admission_queue_snapshot_integration():
+    queue = AdmissionQueue([0, 0, 0], depth=None)
+    assert queue.poll(0, 0) == ADMIT
+    queue.settle(100)
+    out = {}
+    queue.snapshot(out)
     assert out["latency_count"] == 1
     assert out["latency_p50"] == 100  # [96,103] bucket, clamped to max
     assert out["req_offered"] == 3
+    assert out["queue_depth_max"] == 3
 
 
 def test_snapshot_order_independent():

@@ -1,7 +1,12 @@
 """The litmus-fuzz timing workload: validation and model agreement."""
 
+import dataclasses
+
 import pytest
 
+# tests/ is on sys.path (tests/conftest.py): the event budget is the
+# digest gate's, so a run that stops making progress fails fast.
+from api.test_default_digests import PINNED_MAX_EVENTS
 from repro.api.experiment import Experiment
 from repro.fuzz.program import FuzzOp, build_program
 from repro.sim.config import SystemConfig
@@ -59,8 +64,10 @@ def test_stale_reads_match_the_model_guarantee(model, expect_stale):
     from repro.fuzz.generate import generate_batch
 
     program = generate_batch(seed=3, count=1)[0]
-    result = Runner().run_all(
-        [timing_experiment(program, model)])[0]
+    # The fuzz budget is part of the spec hash; the test caps its own.
+    experiment = dataclasses.replace(timing_experiment(program, model),
+                                     max_events=PINNED_MAX_EVENTS)
+    result = Runner().run_all([experiment])[0]
     if expect_stale:
         assert result.stale_reads > 0
     else:
