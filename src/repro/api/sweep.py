@@ -709,6 +709,10 @@ YCSB_OPS = 30
 #: Event budget per simulation point.
 MAX_EVENTS = 200_000_000
 
+#: Event budget of the smoke campaign's points.  Its largest point takes
+#: 14,765 events, so a livelock fails the smoke run within seconds.
+SMOKE_MAX_EVENTS = 1_000_000
+
 
 def _ycsb_base(variant: str = "base", **params) -> Dict[str, object]:
     from dataclasses import asdict
@@ -738,7 +742,7 @@ def _smoke_campaign() -> Campaign:
                        "seed": 11},
             "config": {"preset": "scaled", "num_scopes": 4},
             "variant": "smoke",
-            "max_events": 50_000_000,
+            "max_events": SMOKE_MAX_EVENTS,
         },
         axes=(Axis("model", models),),
     )
@@ -749,7 +753,7 @@ def _smoke_campaign() -> Campaign:
             "params": {"rounds": 3, "threads": 2},
             "config": {"preset": "scaled", "num_scopes": 2},
             "variant": "smoke",
-            "max_events": 50_000_000,
+            "max_events": SMOKE_MAX_EVENTS,
         },
         axes=(Axis("model", models),),
     )

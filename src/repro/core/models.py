@@ -6,8 +6,11 @@ are required, and where scope-buffer/SBV hardware is needed.
 
 The reordering predicate :meth:`ModelProperties.may_reorder` is the
 single source of truth -- the litmus checker enumerates executions against
-it, and the timing simulator's issue policies (:mod:`repro.host.policies`)
-are validated against it in the test suite.
+it, and the test suite validates the timing simulator's operational rules
+against it.  Those rules are read straight off each model's
+:class:`ModelProperties` row: the core (:mod:`repro.host.core`) and the
+entry point (:mod:`repro.host.entry_point`) take the row, and the system
+builder places the scope buffers by it.
 """
 
 from __future__ import annotations
@@ -64,15 +67,19 @@ class ModelProperties:
         model: the model described.
         guarantees_correctness: whether PIM-op/flush atomicity is preserved
             so host ordering rules still hold.
-        requires_ack: whether the memory controller must ACK PIM ops back
-            to the core (atomic model) or entry point (store/scope models).
         blocks_commit: whether the core withholds commit of the PIM op
-            until the ACK arrives (atomic model only).
+            until the memory controller's ACK arrives (atomic model only;
+            under every other model the entry point counts the ACK).
         entry_point_holds: which subsequent operations the memory-subsystem
             entry point withholds while a PIM op is in flight:
             ``"all"``, ``"stores"`` (TSO store semantics: later loads to
             other addresses may bypass), ``"same-scope"``, or ``"none"``.
-        scope_fence_available: whether the model defines the scope-fence.
+            The same class names what a PIM op waits for at the core
+            (everything; all memory operations; its own scope; nothing)
+            and whether a MemFence waits for PIM ACKs (``"all"`` and
+            ``"stores"`` only).
+        scope_fence_available: whether the model defines the scope-fence
+            (scope-relaxed only).
         pim_fence_required: whether ordering between PIM ops of different
             scopes needs the dedicated fence of [21].
         scope_buffer_all_caches: scope buffer + SBV in every cache level
@@ -83,7 +90,6 @@ class ModelProperties:
 
     model: ConsistencyModel
     guarantees_correctness: bool
-    requires_ack: bool
     blocks_commit: bool
     entry_point_holds: str
     scope_fence_available: bool
@@ -178,7 +184,6 @@ MODEL_PROPERTIES = {
     ConsistencyModel.ATOMIC: ModelProperties(
         model=ConsistencyModel.ATOMIC,
         guarantees_correctness=True,
-        requires_ack=True,
         blocks_commit=True,
         entry_point_holds="all",
         scope_fence_available=False,
@@ -189,7 +194,6 @@ MODEL_PROPERTIES = {
     ConsistencyModel.STORE: ModelProperties(
         model=ConsistencyModel.STORE,
         guarantees_correctness=True,
-        requires_ack=True,
         blocks_commit=False,
         entry_point_holds="stores",
         scope_fence_available=False,
@@ -200,7 +204,6 @@ MODEL_PROPERTIES = {
     ConsistencyModel.SCOPE: ModelProperties(
         model=ConsistencyModel.SCOPE,
         guarantees_correctness=True,
-        requires_ack=True,
         blocks_commit=False,
         entry_point_holds="same-scope",
         scope_fence_available=False,
@@ -211,7 +214,6 @@ MODEL_PROPERTIES = {
     ConsistencyModel.SCOPE_RELAXED: ModelProperties(
         model=ConsistencyModel.SCOPE_RELAXED,
         guarantees_correctness=True,
-        requires_ack=False,
         blocks_commit=False,
         entry_point_holds="none",
         scope_fence_available=True,
@@ -222,7 +224,6 @@ MODEL_PROPERTIES = {
     ConsistencyModel.NAIVE: ModelProperties(
         model=ConsistencyModel.NAIVE,
         guarantees_correctness=False,
-        requires_ack=False,
         blocks_commit=False,
         entry_point_holds="none",
         scope_fence_available=False,
@@ -233,7 +234,6 @@ MODEL_PROPERTIES = {
     ConsistencyModel.SW_FLUSH: ModelProperties(
         model=ConsistencyModel.SW_FLUSH,
         guarantees_correctness=False,
-        requires_ack=False,
         blocks_commit=False,
         entry_point_holds="none",
         scope_fence_available=False,
@@ -246,7 +246,6 @@ MODEL_PROPERTIES = {
         # Uncacheable PIM regions never have stale cached copies, so the
         # execution is correct -- just slow (Fig. 3).
         guarantees_correctness=True,
-        requires_ack=False,
         blocks_commit=False,
         entry_point_holds="none",
         scope_fence_available=False,

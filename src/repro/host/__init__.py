@@ -1,15 +1,13 @@
-"""Host processor model: cores, entry points, and per-model issue policies.
+"""Host processor model: cores and their memory-subsystem entry points.
 
 * :mod:`repro.host.program` -- thread programs (the op streams cores run).
-* :mod:`repro.host.policies` -- what each consistency model lets the
-  memory-subsystem entry point forward (Section V / Table I).
 * :mod:`repro.host.entry_point` -- the write-buffer-like entry point that
-  enforces those rules (Fig. 6b-d).
+  enforces each consistency model's ordering rules (Fig. 6b-d), read
+  from the model's :class:`~repro.core.models.ModelProperties` row.
 * :mod:`repro.host.core` -- commit-order cores with limited load MLP.
 """
 
 from repro.host.program import ThreadOp, ThreadOpKind, ThreadProgram
-from repro.host.policies import IssuePolicy
 from repro.host.entry_point import EntryPoint
 from repro.host.core import Core
 
@@ -17,7 +15,6 @@ __all__ = [
     "ThreadOp",
     "ThreadOpKind",
     "ThreadProgram",
-    "IssuePolicy",
     "EntryPoint",
     "Core",
 ]

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from repro.core.models import ModelProperties
 from repro.host.entry_point import EntryPoint
-from repro.host.policies import IssuePolicy
 from repro.host.program import ThreadOp, ThreadOpKind, ThreadProgram
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
@@ -52,7 +52,7 @@ _MT_PIM_ACK = MessageType.PIM_ACK
 class Core(Component):
     """One host core running one thread program."""
 
-    __slots__ = ("core_id", "policy", "entry_point", "max_outstanding_loads",
+    __slots__ = ("core_id", "props", "entry_point", "max_outstanding_loads",
                  "issue_interval", "barrier_cb", "stale_cb", "done_cb",
                  "_done_notified", "program", "_ops", "pc", "_exhausted",
                  "outstanding_loads", "outstanding_stores",
@@ -67,7 +67,7 @@ class Core(Component):
         sim: Simulator,
         name: str,
         core_id: int,
-        policy: IssuePolicy,
+        props: ModelProperties,
         entry_point: EntryPoint,
         max_outstanding_loads: int = 8,
         issue_interval: int = 1,
@@ -77,7 +77,7 @@ class Core(Component):
     ) -> None:
         super().__init__(sim, name)
         self.core_id = core_id
-        self.policy = policy
+        self.props = props
         self.entry_point = entry_point
         entry_point.attach_core(self)
         self.max_outstanding_loads = max_outstanding_loads
@@ -328,31 +328,44 @@ class Core(Component):
     def _issue_pim(self, op: ThreadOp) -> None:
         # Commit-order semantics: wait for whatever earlier operations
         # this model forbids a PIM op to reorder with (see
-        # IssuePolicy.pim_waits_for); without this an in-flight fill can
+        # _pim_issue_ready); without this an in-flight fill can
         # reinstall pre-PIM data after the op's flush -- the Fig. 1 race.
         if not self._pim_issue_ready(op):
             return
+        blocks_commit = self.props.blocks_commit
         msg = Message(
             MessageType.PIM_OP, op.addr, op.scope, self.core_id,
-            self if self.policy.blocks_commit else self.entry_point,
+            self if blocks_commit else self.entry_point,
         )
         if not self._ep_offer(msg):
             return
         self._pim_ops += 1
-        if self.policy.blocks_commit:
+        if blocks_commit:
             # ...and no commit until the MC ACKs (Fig. 6a).
             self._waiting_pim_ack = True
         self._advance()
         self._schedule_step(self.issue_interval)
 
     def _pim_issue_ready(self, op: ThreadOp) -> bool:
-        waits = self.policy.pim_waits_for
-        if waits == "all":
+        """May the PIM op issue now?  It waits for the earlier operations
+        its model's entry point would hold behind it:
+
+        * ``"all"`` (atomic) -- everything, PIM ACKs included (plus the
+          post-issue ACK wait),
+        * ``"stores"`` (store) -- all memory operations (TSO: stores
+          pass nothing),
+        * ``"same-scope"`` (scope) -- operations to the op's own scope,
+        * ``"none"`` (scope-relaxed and the baselines) -- nothing; the
+          scope-fence is the tool that restores same-scope order when
+          software needs it.
+        """
+        holds = self.props.entry_point_holds
+        if holds == "all":
             return self._quiesced()
-        if waits == "all-memops":
+        if holds == "stores":
             return not (self.outstanding_loads or self.outstanding_stores
                         or self.outstanding_flushes)
-        if waits == "same-scope":
+        if holds == "same-scope":
             return self.outstanding_by_scope.get(op.scope, 0) == 0
         return True
 
@@ -377,7 +390,11 @@ class Core(Component):
         self._schedule_step(self.issue_interval)
 
     def _mem_fence(self) -> None:
-        if not self._quiesced(include_pim=self.policy.mem_fence_waits_for_pim()):
+        # Under the atomic and store models PIM ops are ordinary memory
+        # operations, so a MemFence waits for their ACKs; under the scope
+        # models only the dedicated fences order PIM ops (Section III).
+        holds = self.props.entry_point_holds
+        if not self._quiesced(include_pim=holds == "all" or holds == "stores"):
             self._fence_blocked()
             return
         self._fence_unblocked()
@@ -425,11 +442,11 @@ class Core(Component):
         mtype = resp.mtype
         trace = self._trace
         if trace is not None:
-            # Key the settle record on the *request's* op_id (responses
-            # draw fresh ids), so one request's hops share one span.
+            # Key the settle record on the *request* (a response is a
+            # message of its own), so one request's hops share one span.
             req = resp.req
             trace.record(self.sim.now, self.name, mtype.name,
-                         req.op_id if req is not None else resp.op_id)
+                         req if req is not None else resp)
         if mtype is _MT_LOAD_RESP:
             self.outstanding_loads -= 1
             scope = resp.scope
@@ -448,7 +465,7 @@ class Core(Component):
                     # Invariant fired: snapshot the flight ring (the
                     # last N events leading up to this stale read).
                     trace.flight_trigger("stale_read", self.sim.now,
-                                         self.name, resp.req.op_id)
+                                         self.name, resp.req)
                 if self.stale_cb is not None:
                     self.stale_cb(self, resp)
         elif mtype is _MT_STORE_ACK:

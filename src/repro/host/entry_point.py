@@ -2,8 +2,9 @@
 
 Every memory operation a core commits enters the memory subsystem here.
 The entry point enforces the per-model ordering rules on PIM ops: it
-withholds the operations its :class:`~repro.host.policies.IssuePolicy`
-says must wait for a pending PIM-op ACK (store model: everything but
+withholds the operations its model's
+:class:`~repro.core.models.ModelProperties` row says must wait for a
+pending PIM-op ACK (``entry_point_holds``; store model: everything but
 other-scope loads; scope model: only same-scope operations -- a non-FIFO
 write buffer; scope-relaxed and the baselines: nothing), and it tracks
 scope-fence ACKs for the scope-relaxed model.
@@ -27,8 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional, Set
 
-from repro.core.models import ConsistencyModel
-from repro.host.policies import IssuePolicy
+from repro.core.models import ModelProperties
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
@@ -45,25 +45,25 @@ _SCOPE_FENCE = MessageType.SCOPE_FENCE
 class EntryPoint(Component):
     """Per-core entry point enforcing PIM-op ordering (Section V)."""
 
-    __slots__ = ("core_id", "policy", "l1", "req_net", "depth", "_queue",
+    __slots__ = ("core_id", "props", "l1", "req_net", "depth", "_queue",
                  "_core", "_serving", "pending_pim_scopes",
                  "pending_pim_acks", "fenced_scopes", "pending_scope_fences",
-                 "_holds_free", "_holds_stores", "_pim_reorders",
-                 "_serve_bound", "_l1_offer", "_req_offer")
+                 "_holds_free", "_holds_stores", "_serve_bound", "_l1_offer",
+                 "_req_offer")
 
     def __init__(
         self,
         sim: Simulator,
         name: str,
         core_id: int,
-        policy: IssuePolicy,
+        props: ModelProperties,
         l1: Component,
         req_net: Component,
         depth: int = 16,
     ) -> None:
         super().__init__(sim, name)
         self.core_id = core_id
-        self.policy = policy
+        self.props = props
         self.l1 = l1
         self.req_net = req_net
         self.depth = depth
@@ -77,17 +77,16 @@ class EntryPoint(Component):
         #: scopes with an outstanding (un-ACKed) scope-fence.
         self.fenced_scopes: Set[int] = set()
         self.pending_scope_fences = 0
-        # Policy traits predigested for the per-cycle serve loop (the
-        # loop inlines IssuePolicy.may_forward; these avoid re-deriving
-        # the per-model facts on every queue scan).
         # Pre-bound callables for the per-forward hot path.
         self._serve_bound = self._serve
         self._l1_offer = l1.offer
         self._req_offer = req_net.offer
-        props_holds = policy.props.entry_point_holds
-        self._holds_free = props_holds in ("none", "all")
-        self._holds_stores = props_holds == "stores"
-        self._pim_reorders = policy.model is ConsistencyModel.SCOPE_RELAXED
+        # The model's rules, predigested for the per-cycle serve loop.
+        # "all" (atomic) holds nothing here: the core already serializes
+        # around PIM ops.
+        holds = props.entry_point_holds
+        self._holds_free = holds in ("none", "all")
+        self._holds_stores = holds == "stores"
 
     def attach_core(self, core) -> None:
         self._core = core
@@ -128,12 +127,11 @@ class EntryPoint(Component):
     def _serve(self) -> None:
         self._serving = False
         # One forward per cycle; scan for the first permitted message.
-        # This loop inlines :meth:`IssuePolicy.may_forward` (it runs for
-        # every entry-point cycle), and the ordering context each
-        # candidate sees -- "an older store/flush to my line sits
-        # ahead", "an older PIM op / scope-fence to my scope sits ahead"
-        # -- accumulates incrementally in one queue walk instead of
-        # re-scanning the prefix per candidate (the old O(n^2) shape).
+        # The ordering context each candidate sees -- "an older
+        # store/flush to my line sits ahead", "an older PIM op /
+        # scope-fence to my scope sits ahead" -- accumulates
+        # incrementally in one queue walk instead of re-scanning the
+        # prefix per candidate (the old O(n^2) shape).
         queue = self._queue
         if not queue:
             return
@@ -170,8 +168,7 @@ class EntryPoint(Component):
                 queue.popleft()
                 trace = self._trace
                 if trace is not None:
-                    trace.record(self.sim.now, self.name, mtype.name,
-                                 msg.op_id)
+                    trace.record(self.sim.now, self.name, mtype.name, msg)
                 if self._core is not None:
                     self._core.on_entry_point_progress()
                 if queue and not self._serving:
@@ -185,7 +182,6 @@ class EntryPoint(Component):
         pim_op = _PIM_OP
         holds_free = self._holds_free
         holds_stores = self._holds_stores
-        pim_reorders = self._pim_reorders
         for i, msg in enumerate(self._queue):
             mtype = msg.mtype
             scope = msg.scope
@@ -199,15 +195,15 @@ class EntryPoint(Component):
                 # A held PIM op behaves like an un-ACKed one for
                 # ordering: a younger same-scope access jumping over it
                 # would read pre-PIM data (the Fig. 1 race, reproduced
-                # inside the write buffer).  Whether the PIM op blocks
-                # the younger access is the policy's call (scope-relaxed
-                # permits the reorder); a queued or un-ACKed scope-fence
-                # blocks same-scope accesses under every model --
-                # ordering is its entire purpose.
+                # inside the write buffer).  Only the store and scope
+                # models ever hold a PIM op here, and both forbid that
+                # reorder; scope-relaxed, which permits it, holds none.
+                # A queued or un-ACKed scope-fence blocks same-scope
+                # accesses under every model -- ordering is its entire
+                # purpose.
                 if fence_scopes is not None and scope in fence_scopes:
                     allowed = False
-                elif (not pim_reorders and pim_scopes is not None
-                        and scope in pim_scopes):
+                elif pim_scopes is not None and scope in pim_scopes:
                     allowed = False
                 elif scope in fenced:
                     allowed = False
@@ -240,8 +236,7 @@ class EntryPoint(Component):
                     forwarded = True
                     trace = self._trace
                     if trace is not None:
-                        trace.record(self.sim.now, self.name, mtype.name,
-                                     msg.op_id)
+                        trace.record(self.sim.now, self.name, mtype.name, msg)
                 break
             # Not forwardable: record the ordering constraints this
             # message imposes on everything younger.
@@ -269,18 +264,22 @@ class EntryPoint(Component):
     def _forward(self, msg: Message) -> bool:
         mtype = msg.mtype
         if mtype is _PIM_OP:
-            msg.direct = self.policy.pim_is_direct
-            target = self.l1 if self.policy.routes_pim_through_l1 else self.req_net
+            props = self.props
+            # Baselines forward PIM ops past the LLC untouched (Section
+            # VI-C); scope-relaxed ones traverse every cache level
+            # (Fig. 6c).
+            msg.direct = not props.flushes_at_llc
+            target = self.l1 if props.scope_buffer_all_caches else self.req_net
             if not target.offer(msg, self):
                 return False
-            if not self.policy.blocks_commit:
+            if not props.blocks_commit:
                 # The MC ACKs every PIM op; when the core is not itself
                 # waiting (every model but atomic), the ACK lands here.
                 # ``pending_pim_acks`` backs the dedicated PIM fence;
                 # ``pending_pim_scopes`` additionally drives the store/
                 # scope models' holds.
                 self.pending_pim_acks += 1
-                if self.policy.props.entry_point_holds in ("stores", "same-scope"):
+                if not self._holds_free:
                     scope_count = self.pending_pim_scopes.get(msg.scope, 0)
                     self.pending_pim_scopes[msg.scope] = scope_count + 1
             return True

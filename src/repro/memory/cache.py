@@ -152,6 +152,3 @@ class CacheArray:
     def scope_lines(self, scope: int) -> List[CacheLine]:
         """All cached lines of one scope (testing/verification aid)."""
         return [l for s in self._sets for l in s.values() if l.scope == scope]
-
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)

@@ -135,8 +135,7 @@ class MemoryController(Component):
                 # were checked by _pick, so this cannot fail).
                 queue.pop(index)
                 if trace is not None:
-                    trace.record(self.sim.now, self.name, msg.mtype.name,
-                                 msg.op_id)
+                    trace.record(self.sim.now, self.name, msg.mtype.name, msg)
                 self.pim_module.offer(msg, self)
                 if msg.mtype is _PIM_OP:
                     self._pim_forwarded += 1
@@ -152,8 +151,7 @@ class MemoryController(Component):
             queue.pop(index)
             self._served += 1
             if trace is not None:
-                trace.record(self.sim.now, self.name, msg.mtype.name,
-                             msg.op_id)
+                trace.record(self.sim.now, self.name, msg.mtype.name, msg)
             batch = self._collect_burst(msg) if self._burst_enabled else None
             if self._waiting_senders:
                 self._wake_senders()
@@ -164,7 +162,7 @@ class MemoryController(Component):
                 for fused in batch:
                     if trace is not None:
                         trace.record(self.sim.now, self.name,
-                                     fused.mtype.name, fused.op_id)
+                                     fused.mtype.name, fused)
                     self._service_dram(fused)
             return
 

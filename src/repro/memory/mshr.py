@@ -17,7 +17,7 @@ tracks (synapse32 ``dcache_mshr.v``: basic tracking + request coalescing
 line-granular timing model does not need.
 
 Hot-path conventions: the owning cache keeps a direct reference to
-:attr:`MshrFile.entries` for the per-access ``get``; all counters are
+:attr:`MshrFile.entries` for the per-access lookup; all counters are
 plain ints bumped inline and added to the owner's snapshot only when
 the owner opts in (``emit_mshr_stats``) -- the default configuration
 emits no new stat keys, which is what keeps default-config result
@@ -81,9 +81,6 @@ class MshrFile:
     @property
     def full(self) -> bool:
         return len(self.entries) >= self.capacity
-
-    def get(self, line_addr: int) -> Optional[MshrEntry]:
-        return self.entries.get(line_addr)
 
     def allocate(self, line_addr: int, exclusive: bool) -> MshrEntry:
         """Install a new entry (primary miss); samples occupancy *after*

@@ -41,18 +41,16 @@ class ScopeBuffer:
     def _set_of(self, scope: int) -> Dict[int, int]:
         return self._entries[scope % self.sets]
 
-    def lookup(self, scope: int, record: bool = True) -> bool:
-        """PIM-op lookup; ``record=False`` for non-accounting peeks."""
+    def lookup(self, scope: int) -> bool:
+        """PIM-op lookup: counts toward the hit rate, refreshes LRU."""
         entry_set = self._set_of(scope)
-        hit = scope in entry_set
-        if hit:
+        self.lookups += 1
+        if scope in entry_set:
+            self.hits += 1
             self._tick += 1
             entry_set[scope] = self._tick
-        if record:
-            self.lookups += 1
-            if hit:
-                self.hits += 1
-        return hit
+            return True
+        return False
 
     def insert(self, scope: int) -> None:
         """Insert after a completed scan; LRU-evicts silently when full.
@@ -74,9 +72,6 @@ class ScopeBuffer:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._entries)
 
     # -- analytical area model (Section VI: 0.092% / 0.22% overheads) -- #
 

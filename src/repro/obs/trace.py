@@ -6,12 +6,13 @@ One :class:`Tracer` instance rides along with one
 kinds of hook, both dormant behind a ``None`` attribute when tracing is
 off:
 
-* **event records** -- ``tracer.record(cycle, component, kind, op_id)``
-  appends a 4-tuple to a bounded ring (:class:`collections.deque` with
-  ``maxlen``); once full, the oldest records fall off and
-  ``events_dropped`` counts them.  ``ring_size=0`` disables event
-  recording entirely (stall attribution still runs), which is what
-  campaign-level tracing uses to keep store entries small.
+* **event records** -- ``tracer.record(cycle, component, kind, msg)``
+  appends a ``(cycle, component, kind, op_id)`` 4-tuple to a bounded
+  ring (:class:`collections.deque` with ``maxlen``); once full, the
+  oldest records fall off and ``events_dropped`` counts them.
+  ``ring_size=0`` disables event recording entirely (stall attribution
+  still runs), which is what campaign-level tracing uses to keep store
+  entries small.
 * **stall buckets** -- ``tracer.stall_bucket(component)`` hands the
   component a plain dict it increments in place
   (``bucket[reason] = bucket.get(reason, 0) + n``), so the hot path
@@ -22,9 +23,16 @@ first time an invariant trips mid-run -- today the trigger is a stale
 read observed by a core -- so a fuzz violation carries the last N events
 leading up to it (:func:`repro.fuzz.harness.fuzz_run` with tracing).
 
+Op ids are numbered per run, by the tracer: a message is created with
+``op_id == 0``, and the tracer gives it the next number from its own
+counter the first time it records the message.  So two runs of one spec
+number their events alike whatever ran before them in the process, and
+untraced runs touch no counter at all.
+
 Everything here is observational: a tracer never schedules events and
-never touches simulation state, which is why result digests are
-byte-identical with tracing on or off.
+touches no simulation state (``op_id`` is read by nothing but the
+tracer), which is why result digests are byte-identical with tracing on
+or off.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ class Tracer:
     """
 
     __slots__ = ("ring", "ring_size", "appended", "flight_armed",
-                 "flight", "flight_triggers", "_stalls")
+                 "flight", "flight_triggers", "_stalls", "_last_op_id")
 
     def __init__(self, ring_size: int = 65536, flight: bool = False) -> None:
         self.ring_size = ring_size
@@ -70,6 +78,7 @@ class Tracer:
         self.flight: Optional[dict] = None
         self.flight_triggers = 0
         self._stalls: Dict[str, Dict[str, int]] = {}
+        self._last_op_id = 0
 
     # -- event records --------------------------------------------------- #
 
@@ -78,11 +87,18 @@ class Tracer:
         """Whether event records are kept (components hook only then)."""
         return self.ring is not None
 
-    def record(self, cycle: int, component: str, kind: str,
-               op_id: int) -> None:
-        """Append one event record to the ring."""
+    def op_id(self, msg) -> int:
+        """``msg``'s op id, numbering it first if this run has not yet."""
+        op_id = msg.op_id
+        if not op_id:
+            self._last_op_id = op_id = self._last_op_id + 1
+            msg.op_id = op_id
+        return op_id
+
+    def record(self, cycle: int, component: str, kind: str, msg) -> None:
+        """Append one event record for message ``msg`` to the ring."""
         self.appended += 1
-        self.ring.append((cycle, component, kind, op_id))
+        self.ring.append((cycle, component, kind, self.op_id(msg)))
 
     @property
     def events_dropped(self) -> int:
@@ -101,8 +117,9 @@ class Tracer:
     # -- flight recorder ------------------------------------------------- #
 
     def flight_trigger(self, reason: str, cycle: int, component: str,
-                       op_id: int) -> None:
-        """An invariant fired: snapshot the ring (first trigger only)."""
+                       msg) -> None:
+        """An invariant fired on message ``msg``: snapshot the ring
+        (first trigger only)."""
         self.flight_triggers += 1
         if not self.flight_armed or self.flight is not None:
             return
@@ -110,7 +127,7 @@ class Tracer:
             "trigger": reason,
             "cycle": cycle,
             "component": component,
-            "op_id": op_id,
+            "op_id": self.op_id(msg),
             "events": [list(r) for r in self.ring] if self.ring else [],
         }
 

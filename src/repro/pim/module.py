@@ -91,8 +91,6 @@ class PimModule(Component):
         self._queued_accesses = 0
         #: Scopes whose head PIM op is waiting on max_concurrent_scopes.
         self._throttled: set = set()
-        # Insertion-ordered dedup of parked senders (O(1) membership).
-        self._waiting_senders: dict = {}
         # Plain-int counters (one attribute bump each), read by snapshot():
         # the Fig. 10a/b sums are sampled once per PIM-op arrival.
         self._op_arrivals = 0
@@ -140,16 +138,16 @@ class PimModule(Component):
     })
 
     def offer(self, msg: Message, sender: Optional[Component] = None) -> bool:
+        """Accept ``msg`` unless its queue is full.  Nothing is parked on
+        a refusal: the MC reads :meth:`admission` before every offer."""
         if msg.mtype not in self.ACCEPTED_TYPES:
             raise ValueError(f"the PIM module cannot service {msg.mtype}")
         op_room, access_room = self.admission()
         if not (op_room if msg.mtype is _PIM_OP else access_room):
-            if sender is not None:
-                self._waiting_senders[sender] = None
             return False
         trace = self._trace
         if trace is not None:
-            trace.record(self.sim.now, self.name, msg.mtype.name, msg.op_id)
+            trace.record(self.sim.now, self.name, msg.mtype.name, msg)
         if msg.mtype is _PIM_OP:
             # Fig. 10a/b statistics: sampled at op arrival, before insertion.
             self._op_arrivals += 1
@@ -209,15 +207,11 @@ class PimModule(Component):
             self._queued_ops_by_scope[scope] = count
             if count == 0:
                 self._scopes_with_queued_ops -= 1
-            if self._waiting_senders:
-                self._wake_senders()
             # Op execution is long (microseconds): usually a heap delay,
             # so the generic schedule() picks the tier.
             self.sim.schedule(self._latency_of(msg), self._complete_op_bound, msg)
         else:
             self._queued_accesses -= 1
-            if self._waiting_senders:
-                self._wake_senders()
             self._serve_access(msg)
             self.sim.schedule(self.ACCESS_SERVICE_INTERVAL,
                               self._scope_done_bound, scope)
@@ -261,7 +255,7 @@ class PimModule(Component):
         self._executed += 1
         trace = self._trace
         if trace is not None:
-            trace.record(self.sim.now, self.name, "PIM_OP_DONE", msg.op_id)
+            trace.record(self.sim.now, self.name, "PIM_OP_DONE", msg)
         if self.on_execute is not None:
             self.on_execute(msg)
         if self.mc is not None:
@@ -276,9 +270,3 @@ class PimModule(Component):
     def _scope_done(self, scope: int) -> None:
         self._busy_scopes.pop(scope, None)
         self._advance_scope(scope)
-
-    def _wake_senders(self) -> None:
-        waiters = self._waiting_senders
-        self._waiting_senders = {}
-        for waiter in waiters:
-            waiter.unblock()

@@ -124,10 +124,6 @@ class QueuedComponent(Component):
             self.sim.call_at_now(self._serve_bound)
         return True
 
-    @property
-    def occupancy(self) -> int:
-        return len(self._queue)
-
     # ------------------------------------------------------------------ #
     # consumer side
     # ------------------------------------------------------------------ #
@@ -158,8 +154,7 @@ class QueuedComponent(Component):
             result = self.handle(msg)
             if result is True:
                 if trace is not None:
-                    trace.record(self.sim.now, self.name, msg.mtype.name,
-                                 msg.op_id)
+                    trace.record(self.sim.now, self.name, msg.mtype.name, msg)
                 queue.popleft()
                 if self._notify_dequeue:
                     self.on_dequeue()
@@ -197,16 +192,21 @@ class Link(QueuedComponent):
     cycles in flight, and are then offered downstream.  If the downstream
     queue is full, delivery stalls in arrival order and back-pressure
     propagates to the input queue.
+
+    A link without a downstream is the response network: it hands each
+    message to its ``reply_to``.  Response consumers (cores, entry
+    points) always accept; they model their own capacity internally
+    (e.g. MLP limits are enforced at issue time, not at delivery).
     """
 
     __slots__ = ("downstream", "latency", "pipe_capacity", "_in_flight",
-                 "_delivering", "_dispatch_direct", "_try_deliver_bound")
+                 "_delivering", "_try_deliver_bound")
 
     def __init__(
         self,
         sim: Simulator,
         name: str,
-        downstream: Component,
+        downstream: Optional[Component],
         latency: int = 1,
         service_interval: int = 1,
         capacity: Optional[int] = 8,
@@ -218,10 +218,6 @@ class Link(QueuedComponent):
         self.pipe_capacity = pipe_capacity or max(2, latency)
         self._in_flight: deque = deque()
         self._delivering = False
-        # Deliveries into a ResponseDispatcher can never be refused, so
-        # the delivery loop hands those straight to ``msg.reply_to``
-        # without bouncing through offer().
-        self._dispatch_direct = isinstance(downstream, ResponseDispatcher)
         self._try_deliver_bound = self._try_deliver
 
     def _serve(self) -> None:
@@ -263,9 +259,8 @@ class Link(QueuedComponent):
         sim = self.sim
         now = sim.now
         trace = self._trace
-        if self._dispatch_direct:
-            # Response-network fast path: the dispatcher always accepts,
-            # so deliver straight to each message's reply_to.
+        if self.downstream is None:
+            # The response network: deliver to each message's reply_to.
             while in_flight:
                 arrival, msg = in_flight[0]
                 if arrival > now:
@@ -273,7 +268,7 @@ class Link(QueuedComponent):
                     return
                 in_flight.popleft()
                 if trace is not None:
-                    trace.record(now, self.name, msg.mtype.name, msg.op_id)
+                    trace.record(now, self.name, msg.mtype.name, msg)
                 msg.reply_to.receive_response(msg)
                 if self._stalled:
                     QueuedComponent.unblock(self)
@@ -294,7 +289,7 @@ class Link(QueuedComponent):
             in_flight.popleft()
             if trace is not None:
                 msg = head[1]
-                trace.record(now, self.name, msg.mtype.name, msg.op_id)
+                trace.record(now, self.name, msg.mtype.name, msg)
             # Delivering freed pipe space; resume the service stage if it
             # was blocked on pipe capacity.
             if self._stalled:
@@ -308,18 +303,3 @@ class Link(QueuedComponent):
             self._delivering = True
             self.sim.call_at_now(self._try_deliver_bound)
         QueuedComponent.unblock(self)
-
-
-class ResponseDispatcher(Component):
-    """Terminal sink for the response network: routes to ``msg.reply_to``.
-
-    Response consumers (cores, entry points) are assumed to always accept;
-    they model their own capacity internally (e.g. MLP limits are enforced
-    at issue time, not at response delivery).
-    """
-
-    __slots__ = ()
-
-    def offer(self, msg: Message, sender: Optional[Component] = None) -> bool:
-        msg.reply_to.receive_response(msg)
-        return True

@@ -131,9 +131,6 @@ class PimModuleConfig:
     #: crossbar groups in parallel; ops to the same scope serialize).
     max_concurrent_scopes: Optional[int] = None
 
-    def effective_latency(self) -> int:
-        return 0 if self.zero_logic else self.op_latency
-
 
 #: Arrival processes the open-loop traffic layer understands.
 ARRIVAL_KINDS = ("closed", "poisson", "burst", "ramp")

@@ -37,8 +37,6 @@ import sys
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.sim import messages as _messages
-
 #: Timing-wheel size (power of two).  Delays 1..WHEEL_SLOTS-1 ride the
 #: wheel; the bound must stay above the largest common latency in the
 #: timing model (DRAM/PIM accesses: 200 cycles).  Components schedule
@@ -270,12 +268,3 @@ class Simulator:
             # the wheel count; its un-executed entries are still queued.
             count += len(self._wheel[self.now & WHEEL_MASK])
         return count
-
-    def reset_ids(self) -> None:
-        """Restart the process-global message ``op_id`` sequence.
-
-        Call between experiments in one process so ``op_id`` sequences
-        are reproducible per run: flight-dump replay and the Serial vs
-        ProcessPool obs identity both need op ids to restart per System.
-        """
-        _messages.reset_ids()

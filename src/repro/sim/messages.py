@@ -10,7 +10,6 @@ response path needs no address-based routing tables.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional
 
 
@@ -35,21 +34,6 @@ class MessageType(enum.Enum):
     PIM_ACK = enum.auto()
     SCOPE_FENCE_ACK = enum.auto()
 
-_ids = itertools.count()
-
-
-def reset_ids() -> None:
-    """Restart the ``op_id`` counter.
-
-    Run engines call this at the start of every experiment so that op-id
-    sequences don't leak monotonically across experiments in one process
-    -- the Serial and ProcessPool backends must produce byte-identical
-    runs, and a forked worker would otherwise inherit whatever counter
-    state the parent had reached.
-    """
-    global _ids
-    _ids = itertools.count()
-
 
 class Message:
     """One request or response in flight through the memory system.
@@ -67,7 +51,9 @@ class Message:
             baselines forward PIM ops untouched).
         version: version tag of the data returned by a load response, used
             by the stale-read detector.
-        op_id: unique id (debugging, dependency tracking at the MC).
+        op_id: the message's id in a trace; 0 until a run's tracer
+            first records the message and numbers it (untraced runs
+            leave it 0).
         req: for responses, the request message being answered.
     """
 
@@ -106,7 +92,7 @@ class Message:
         self.uncacheable = uncacheable
         self.direct = direct
         self.version = version
-        self.op_id = next(_ids)
+        self.op_id = 0
         self.req: Optional[Message] = None
 
     def make_response(self, mtype: MessageType, version: int = 0) -> "Message":

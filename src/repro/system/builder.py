@@ -6,7 +6,7 @@
     core --> entry point --> L1 --+--> request network --> LLC --> mem
                                                            link --> MC --> PIM module
                                                                        '--> DRAM
-    responses:  MC / LLC --> response network --> dispatcher --> reply_to
+    responses:  MC / LLC --> response network --> reply_to
 
 The builder also owns the pieces the components share: the scope map, the
 version-tagged memory image, the per-scope PIM version counters (bumped
@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.models import ConsistencyModel
+from repro.core.models import properties_of
 from repro.core.scope import ScopeMap
 from repro.host.core import Core
 from repro.host.entry_point import EntryPoint
-from repro.host.policies import IssuePolicy
 from repro.host.program import ThreadOpKind, ThreadProgram
 from repro.memory.l1 import L1Cache
 from repro.memory.llc import LastLevelCache
@@ -30,7 +29,7 @@ from repro.memory.memory_controller import MemoryController
 from repro.memory.versioned import VersionedMemory
 from repro.obs.trace import Tracer
 from repro.pim.module import PimModule
-from repro.sim.component import Link, ResponseDispatcher
+from repro.sim.component import Link
 from repro.sim.config import SystemConfig
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
@@ -60,11 +59,9 @@ class System:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.sim = Simulator()
-        # Fresh op-id sequence per system: experiments in one process
-        # (and forked pool workers) must be byte-identical, down to the
-        # op ids in trace payloads and flight dumps.
-        self.sim.reset_ids()
-        self.policy = IssuePolicy(config.model)
+        # The model's Table-I row: the cores and entry points read every
+        # per-model rule from it.
+        props = properties_of(config.model)
         self.scope_map = ScopeMap(
             pim_base=config.pim_base,
             scope_bytes=config.scope_bytes,
@@ -72,10 +69,10 @@ class System:
         )
         self.memory = VersionedMemory(config.llc.line_bytes)
 
-        # Response path: anything below the L1s answers through here.
-        self._dispatcher = ResponseDispatcher(self.sim, "resp-dispatch")
+        # Response path: anything below the L1s answers through here,
+        # straight to each message's reply_to.
         self.resp_net = Link(
-            self.sim, "resp-net", self._dispatcher,
+            self.sim, "resp-net", None,
             latency=config.network.latency,
             service_interval=config.network.service_interval,
             capacity=None,
@@ -120,7 +117,6 @@ class System:
         )
 
         # Core side.
-        scope_relaxed = config.model is ConsistencyModel.SCOPE_RELAXED
         self.l1s: List[L1Cache] = []
         self.entry_points: List[EntryPoint] = []
         self.cores: List[Core] = []
@@ -136,17 +132,18 @@ class System:
             l1 = L1Cache(
                 self.sim, f"l1.{core_id}", core_id, config.l1,
                 self.scope_map, self.req_net,
-                scope_buffer_cfg=config.l1_scope_buffer if scope_relaxed else None,
+                scope_buffer_cfg=(config.l1_scope_buffer
+                                  if props.scope_buffer_all_caches else None),
                 mshr_count=8 if l1_mshr is None else l1_mshr,
                 coalescing=config.l1.coalescing,
                 emit_mshr_stats=l1_mshr is not None or not config.l1.coalescing,
             )
             ep = EntryPoint(
-                self.sim, f"ep.{core_id}", core_id, self.policy, l1,
+                self.sim, f"ep.{core_id}", core_id, props, l1,
                 self.req_net, depth=config.cores.entry_point_depth,
             )
             core = Core(
-                self.sim, f"core.{core_id}", core_id, self.policy, ep,
+                self.sim, f"core.{core_id}", core_id, props, ep,
                 max_outstanding_loads=config.cores.max_outstanding_loads,
                 barrier_cb=self._barrier_arrive,
                 done_cb=self._core_finished,
@@ -162,11 +159,10 @@ class System:
         self._result_lines: Dict[int, Sequence[int]] = {}
         self._result_line_sets: Dict[int, frozenset] = {}
         self.pim_execution_counts: Dict[int, int] = {}
-        #: Optional per-op latency override: scope -> host cycles.
-        self.pim_latency_by_scope: Dict[int, int] = {}
         #: Workload-provided default PIM op latency (host cycles), e.g.
         #: derived from compiled microcode lengths; ``None`` falls back to
-        #: the config value.  ``zero_logic`` overrides both (Fig. 11b).
+        #: the config value.  The PIM module's ``zero_logic`` check
+        #: overrides both (Fig. 11b).
         self.pim_op_latency_override: Optional[int] = None
 
         #: Observability: one Tracer per traced run, else None.  Stall
@@ -216,11 +212,6 @@ class System:
             self.memory.bump_lines(lines, count)
 
     def _pim_latency(self, msg: Message) -> int:
-        if self.config.pim.zero_logic:
-            return 0
-        override = self.pim_latency_by_scope.get(msg.scope)
-        if override is not None:
-            return override
         if self.pim_op_latency_override is not None:
             return self.pim_op_latency_override
         return self.config.pim.op_latency

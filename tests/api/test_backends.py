@@ -116,8 +116,7 @@ def test_experiments_and_results_are_picklable():
 
 def test_backends_produce_identical_stats_views():
     """Satellite of the kernel overhaul: the typed StatsView namespaces
-    (not just the raw dicts) agree between backends, which relies on the
-    per-run op-id reset in Simulator.reset_ids()."""
+    (not just the raw dicts) agree between backends."""
     exp = _experiments()[2]
     serial, = SerialBackend().run_all_settled([exp])
     # One point needs only one worker, which runs in-process unless a

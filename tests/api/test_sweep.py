@@ -239,18 +239,8 @@ def test_duplicate_points_simulate_once():
     assert result.points[0].result is result.points[1].result
 
 
-def _capped(campaign: Campaign) -> Campaign:
-    """``campaign`` with every point's event budget at PINNED_MAX_EVENTS,
-    so a livelocked point fails in seconds.  The budget is part of each
-    spec hash: the digest is no longer the registered campaign's."""
-    data = campaign.to_dict()
-    for sweep in data["sweeps"]:
-        sweep["base"]["max_events"] = PINNED_MAX_EVENTS
-    return Campaign.from_dict(data)
-
-
 def test_serial_and_process_pool_campaigns_match_stat_for_stat():
-    campaign = _capped(get_campaign("smoke"))
+    campaign = get_campaign("smoke")
     serial = run_campaign(campaign, runner=Runner(backend=SerialBackend()))
     pooled = run_campaign(
         campaign, runner=Runner(backend=ProcessPoolBackend(jobs=2)))

@@ -92,6 +92,12 @@ def make_pim(scope, addr=0, reply_to=None, core=0, direct=False):
                    reply_to=reply_to, direct=direct)
 
 
+def buffered_scopes(scope_buffer):
+    """The scopes a scope buffer holds, read without a lookup (which
+    would count toward its hit rate and refresh its LRU order)."""
+    return {scope for entries in scope_buffer._entries for scope in entries}
+
+
 class CountingBackend(SerialBackend):
     """Serial execution recording the spec hashes of each dispatched
     batch (every Runner batch reaches a backend here)."""

@@ -2,10 +2,9 @@
 
 from helpers import CaptureSink
 
-from repro.core.models import ConsistencyModel
+from repro.core.models import ConsistencyModel, properties_of
 from repro.host.core import Core
 from repro.host.entry_point import EntryPoint
-from repro.host.policies import IssuePolicy
 from repro.host.program import ThreadOp, ThreadProgram
 from repro.sim.messages import MessageType
 
@@ -13,8 +12,8 @@ from repro.sim.messages import MessageType
 def _core(sim, model=ConsistencyModel.NAIVE, mlp=2):
     l1 = CaptureSink(sim, "l1")
     net = CaptureSink(sim, "net")
-    ep = EntryPoint(sim, "ep", 0, IssuePolicy(model), l1, net, depth=8)
-    core = Core(sim, "core", 0, ep.policy, ep, max_outstanding_loads=mlp)
+    ep = EntryPoint(sim, "ep", 0, properties_of(model), l1, net, depth=8)
+    core = Core(sim, "core", 0, ep.props, ep, max_outstanding_loads=mlp)
     return core, ep, l1, net
 
 
@@ -139,8 +138,9 @@ def test_barrier_waits_for_quiesce_then_calls_back(sim):
     arrived = []
     l1 = CaptureSink(sim, "l1")
     net = CaptureSink(sim, "net")
-    ep = EntryPoint(sim, "ep", 0, IssuePolicy(ConsistencyModel.NAIVE), l1, net)
-    core = Core(sim, "core", 0, ep.policy, ep, barrier_cb=arrived.append)
+    props = properties_of(ConsistencyModel.NAIVE)
+    ep = EntryPoint(sim, "ep", 0, props, l1, net)
+    core = Core(sim, "core", 0, props, ep, barrier_cb=arrived.append)
     core.run_program(ThreadProgram("t", [
         ThreadOp.load(0),
         ThreadOp.barrier(),

@@ -1,17 +1,17 @@
 """The memory-subsystem entry point (write buffer)."""
 
 from helpers import CaptureSink, make_load, make_pim, make_store
+from policy_reference import may_forward
 
-from repro.core.models import ConsistencyModel
+from repro.core.models import ConsistencyModel, properties_of
 from repro.host.entry_point import EntryPoint
-from repro.host.policies import IssuePolicy
 from repro.sim.messages import Message, MessageType
 
 
 def _ep(sim, model, depth=8):
     l1 = CaptureSink(sim, "l1")
     net = CaptureSink(sim, "net")
-    ep = EntryPoint(sim, "ep", 0, IssuePolicy(model), l1, net, depth=depth)
+    ep = EntryPoint(sim, "ep", 0, properties_of(model), l1, net, depth=depth)
     return ep, l1, net
 
 
@@ -159,15 +159,13 @@ def test_capacity_and_drained(sim):
 
 
 # --------------------------------------------------------------------- #
-# parity: the serve loop's inlined policy decision vs IssuePolicy
+# parity: the serve loop's decision vs the reference may_forward
 # --------------------------------------------------------------------- #
 
 
-def _reference_first_forwardable(policy, queue, pending, fenced):
-    """The pre-optimization O(n^2) algorithm, driven by the canonical
-    IssuePolicy.may_forward -- the oracle the inlined scan must match."""
-    from repro.sim.messages import MessageType
-
+def _reference_first_forwardable(props, queue, pending, fenced):
+    """The pre-optimization O(n^2) algorithm, driven by the reference
+    may_forward -- the oracle the serve loop's scan must match."""
     for i, msg in enumerate(queue):
         earlier_line_write = False
         if msg.mtype is MessageType.LOAD:
@@ -187,24 +185,20 @@ def _reference_first_forwardable(policy, queue, pending, fenced):
                     break
                 if earlier.mtype is MessageType.PIM_OP and not scope_order:
                     scope_order = "pim"
-        if policy.may_forward(msg, pending, fenced, earlier_line_write,
-                              scope_order):
+        if may_forward(props, msg, pending, fenced, earlier_line_write,
+                       scope_order):
             return i
     return None
 
 
 def test_serve_scan_matches_may_forward_for_every_model():
-    """The entry point inlines IssuePolicy.may_forward in its serve loop
-    (head fast path + incremental full scan); randomized queue states
-    must make exactly the same choice as the canonical policy method."""
+    """The entry point's serve loop (head fast path + incremental full
+    scan) must make exactly the same choice as the reference may_forward
+    on randomized queue states, under every model."""
     import random
 
-    from repro.core.models import ConsistencyModel
-    from repro.host.entry_point import EntryPoint
-    from repro.host.policies import IssuePolicy
     from repro.sim.component import Component
     from repro.sim.kernel import Simulator
-    from repro.sim.messages import Message, MessageType
 
     class Rejecting(Component):
         """Records the chosen message but refuses it, leaving the queue
@@ -222,11 +216,11 @@ def test_serve_scan_matches_may_forward_for_every_model():
              MessageType.PIM_OP, MessageType.SCOPE_FENCE]
     rng = random.Random(1234)
     for model in ConsistencyModel:
-        policy = IssuePolicy(model)
-        for _ in range(60):
+        props = properties_of(model)
+        for _ in range(500):
             sim = Simulator()
             stub = Rejecting(sim)
-            ep = EntryPoint(sim, "ep", 0, policy, l1=stub, req_net=stub)
+            ep = EntryPoint(sim, "ep", 0, props, l1=stub, req_net=stub)
             for _ in range(rng.randrange(1, 7)):
                 mtype = rng.choice(kinds)
                 scope = rng.choice([None, 0, 1]) \
@@ -242,7 +236,7 @@ def test_serve_scan_matches_may_forward_for_every_model():
                 if rng.random() < 0.3:
                     ep.fenced_scopes.add(scope)
             expected = _reference_first_forwardable(
-                policy, ep._queue, ep.pending_pim_scopes, ep.fenced_scopes)
+                props, ep._queue, ep.pending_pim_scopes, ep.fenced_scopes)
             ep._serve()
             chosen = (ep._queue.index(stub.offered[0])
                       if stub.offered else None)

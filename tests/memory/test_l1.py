@@ -1,6 +1,7 @@
 """Private L1 cache component."""
 
-from helpers import CaptureSink, ResponseCollector, make_load, make_store
+from helpers import (CaptureSink, ResponseCollector, buffered_scopes, make_load,
+                     make_store)
 
 from repro.memory.l1 import L1Cache
 from repro.memory.mesi import MesiState
@@ -185,7 +186,7 @@ def test_scope_fence_scans_and_flushes_scope(sim, scope_map):
     assert not l1.array.scope_lines(0)
     assert fence in net.received  # forwarded toward the LLC
     # scope buffer now remembers the flush: next fence skips the scan
-    assert l1.scope_buffer.lookup(0, record=False)
+    assert 0 in buffered_scopes(l1.scope_buffer)
 
 
 def test_pim_op_passes_through_untouched(sim, scope_map):

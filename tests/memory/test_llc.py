@@ -1,7 +1,8 @@
 """The inclusive LLC: directory, scan/flush engine, scope buffer, SBV."""
 
 import pytest
-from helpers import CaptureSink, DirectDispatcher, ResponseCollector, make_load, make_pim
+from helpers import (CaptureSink, DirectDispatcher, ResponseCollector,
+                     buffered_scopes, make_load, make_pim)
 
 from repro.memory.l1 import L1Cache
 from repro.memory.llc import LastLevelCache
@@ -105,7 +106,7 @@ def test_pim_op_scan_flushes_scope_and_inserts_scope_buffer(sim, scope_map):
     sim.run()
     assert pim in mem.received  # forwarded after the scan
     assert not llc.array.scope_lines(0)
-    assert llc.scope_buffer.lookup(0, record=False)
+    assert 0 in buffered_scopes(llc.scope_buffer)
     stats = llc.snapshot()
     assert stats["flushed_lines"] == 3
     assert stats["scan_latency"] > 0
@@ -136,12 +137,12 @@ def test_line_fill_invalidates_scope_buffer_entry(sim, scope_map):
     scope0 = scope_map.scope(0)
     llc.offer(make_pim(0, addr=scope0.base))
     sim.run()
-    assert llc.scope_buffer.lookup(0, record=False)
+    assert 0 in buffered_scopes(llc.scope_buffer)
     llc.offer(make_load(scope0.base, scope=0, reply_to=requester, core=0))
     sim.run()
     _serve_mem(llc, mem)
     sim.run()
-    assert not llc.scope_buffer.lookup(0, record=False)
+    assert 0 not in buffered_scopes(llc.scope_buffer)
 
 
 def test_sbv_guides_scan(sim, scope_map):
@@ -241,4 +242,5 @@ def test_uncacheable_load_passes_through(sim, scope_map):
     llc.offer(msg)
     sim.run()
     assert msg in mem.received
-    assert llc.array.occupancy() == 0
+    assert not any(llc.array.lines_in_set(index)
+                   for index in range(llc.array.num_sets))

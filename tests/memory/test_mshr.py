@@ -60,12 +60,12 @@ def test_allocate_complete_roundtrip_and_occupancy():
     f.allocate(0x1000, exclusive=False)
     f.allocate(0x2000, exclusive=True)
     assert not f.full
-    assert f.get(0x1000) is not None
+    assert 0x1000 in f.entries
     # Occupancy sampled after each insertion: 1 then 2.
     assert (f.occupancy_total, f.occupancy_samples) == (3, 2)
     entry = f.complete(0x1000)
     assert entry.line_addr == 0x1000
-    assert f.get(0x1000) is None
+    assert 0x1000 not in f.entries
     assert f.refills == 1
     assert f.complete(0x1000) is None  # raced away: no double count
     assert f.refills == 1

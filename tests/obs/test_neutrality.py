@@ -4,7 +4,8 @@ This is the observability layer's hard constraint.  The specs and
 pinned digests here mirror ``tests/api/test_default_digests.py``
 exactly -- but every run executes under a full trace overlay (event
 ring + flight recorder armed).  If a trace hook ever schedules an
-event, mutates a message, or perturbs a queue decision,
+event, writes a message field the simulation reads (it numbers
+``op_id``, which only the tracer reads), or perturbs a queue decision,
 these digests move and this file fails before any baseline silently
 re-pins.  With tracing off, the hook sites make no call into
 ``repro/obs/`` at all, and components count in plain ints: a run calls

@@ -41,26 +41,30 @@ def test_different_scopes_execute_in_parallel(sim):
 
 
 def test_buffer_capacity_backpressure_and_wakeup(sim):
+    """A full op buffer refuses offers and parks nobody; each finished
+    op wakes the MC, which re-reads admission() and retries."""
     module, _ = _module(sim, capacity=2, op_latency=100)
 
-    class Sender(Component):
+    class Controller(Component):
         def __init__(self):
-            super().__init__(sim, "s")
-            self.woken = 0
+            super().__init__(sim, "mc")
+            self.woken = []
 
         def unblock(self):
-            self.woken += 1
+            self.woken.append(sim.now)
 
-    sender = Sender()
-    accepted = [module.offer(make_pim(0), sender)]
+    module.mc = controller = Controller()
+    accepted = [module.offer(make_pim(0), controller)]
     sim.run(until=1)  # first op moves from buffer to execution
     # two more fill the buffer; the fourth bounces
-    accepted += [module.offer(make_pim(0), sender) for _ in range(3)]
+    accepted += [module.offer(make_pim(0), controller) for _ in range(3)]
     sim.run(until=50)
-    accepted.append(module.offer(make_pim(0), sender))
+    accepted.append(module.offer(make_pim(0), controller))
     assert accepted == [True, True, True, False, False]
-    sim.run()  # executions drain the buffer and wake the sender
-    assert sender.woken >= 1
+    assert module.admission() == (False, True)
+    sim.run()  # executions drain the buffer, waking the MC per op
+    assert controller.woken == [100, 200, 300]
+    assert module.admission() == (True, True)
 
 
 def test_unbounded_buffer(sim):

@@ -1,6 +1,6 @@
 """Back-pressure and link behaviour of the pipeline building blocks."""
 
-from repro.sim.component import Component, Link, QueuedComponent, ResponseDispatcher
+from repro.sim.component import Component, Link, QueuedComponent
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 
@@ -73,7 +73,7 @@ def test_capacity_rejects_and_wakes_sender():
     producer.push(_msg())  # rejected: queue full
     assert producer.blocked == 1
     sim.run()
-    assert sink.occupancy == 2
+    assert len(sink._queue) == 2
     sink.release = True
     sink.unblock()
     sim.run()
@@ -141,8 +141,7 @@ def test_link_latency_beyond_the_wheel_delivers_exactly():
             arrivals.append(sim.now)
 
     receiver = Receiver()
-    resp_link = Link(sim, "resp", ResponseDispatcher(sim, "d"),
-                     latency=300, service_interval=2)
+    resp_link = Link(sim, "resp", None, latency=300, service_interval=2)
     for _ in range(3):
         assert link.offer(_msg())
         assert resp_link.offer(Message(MessageType.LOAD_RESP,
@@ -189,7 +188,9 @@ def test_link_backpressure_propagates():
     assert len(sink.received) == 10
 
 
-def test_response_dispatcher_routes_by_reply_to():
+def test_response_link_delivers_to_reply_to():
+    """A link without a downstream is the response network: each message
+    lands on its own ``reply_to`` after the link latency."""
     sim = Simulator()
 
     class Receiver:
@@ -197,13 +198,16 @@ def test_response_dispatcher_routes_by_reply_to():
             self.got = []
 
         def receive_response(self, msg):
-            self.got.append(msg)
+            self.got.append((sim.now, msg))
 
-    receiver = Receiver()
-    dispatcher = ResponseDispatcher(sim, "d")
-    msg = Message(MessageType.LOAD_RESP, reply_to=receiver)
-    dispatcher.offer(msg)
-    assert receiver.got == [msg]
+    first, second = Receiver(), Receiver()
+    link = Link(sim, "resp", None, latency=3)
+    a = Message(MessageType.LOAD_RESP, reply_to=first)
+    b = Message(MessageType.STORE_ACK, reply_to=second)
+    assert link.offer(a) and link.offer(b)
+    sim.run()
+    assert first.got == [(3, a)]
+    assert second.got == [(4, b)]
 
 
 def test_waiting_senders_are_deduplicated():

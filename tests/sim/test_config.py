@@ -5,7 +5,6 @@ import pytest
 from repro.core.models import ConsistencyModel
 from repro.sim.config import (
     CacheConfig,
-    PimModuleConfig,
     ScopeBufferConfig,
     SystemConfig,
 )
@@ -47,11 +46,6 @@ def test_with_model_and_with_pim():
     cfg3 = cfg.with_pim(buffer_capacity=None, zero_logic=True)
     assert cfg3.pim.buffer_capacity is None
     assert cfg3.pim.zero_logic
-
-
-def test_pim_effective_latency():
-    assert PimModuleConfig(op_latency=100).effective_latency() == 100
-    assert PimModuleConfig(op_latency=100, zero_logic=True).effective_latency() == 0
 
 
 def test_scaled_default_preserves_ratios():

