@@ -38,16 +38,24 @@ Entries shard on the first two hex digits of the key::
 
     <root>/<key[:2]>/<key>.json
 
-Each file is a standalone JSON document (no pickle anywhere)::
+Each file holds three lines, each one compact JSON value (no pickle
+anywhere)::
 
-    {
-      "schema":        "repro-store-entry/1",
-      "spec_hash":     "...",              # the experiment's spec hash
-      "fingerprint":   "...",              # code/format fingerprint
-      "experiment":    {...} | null,       # spec dict, for inspection
-      "result":        {...},              # SimulationResult.to_dict()
-      "result_sha256": "..."               # digest of "result", verified on read
-    }
+    {"fingerprint":...,"result_sha256":...,"schema":...,"spec_hash":...}
+    {"config":...,"events":...,...}    # SimulationResult.to_dict()
+    {"config":...,...} | null          # the Experiment spec
+
+The header's ``schema`` is ``repro-store-entry/2``.  Line 2 is exactly
+the bytes :func:`~repro.system.simulation.result_digest` hashes
+(:func:`~repro.system.simulation.canonical_json`), and the header's
+``result_sha256`` is their sha256, so the check on read is byte-level: a
+read parses the small header, hashes line 2 as it lies on disk and
+parses only line 2.  Nothing reads line 3, the spec, which is kept for
+inspection.  The payload is encoded once, when the entry is written.
+
+Entries of the earlier one-document layout (``repro-store-entry/1``) are
+not entries of this one: a read misses them, ``stats`` counts them
+stale, and ``repro-bench store prune --stale`` removes them.
 
 Concurrency
 -----------
@@ -77,7 +85,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 from repro.system.simulation import (
     RESULT_SCHEMA,
     SimulationResult,
-    result_digest,
+    canonical_json,
 )
 
 __all__ = [
@@ -92,8 +100,8 @@ __all__ = [
 
 logger = logging.getLogger("repro.store")
 
-#: Schema tag of one store entry file.
-STORE_SCHEMA = "repro-store-entry/1"
+#: Schema tag of one store entry file (the header line's ``schema``).
+STORE_SCHEMA = "repro-store-entry/2"
 
 #: Environment variable naming the default store directory for the CLI.
 STORE_ENV = "REPRO_STORE"
@@ -144,9 +152,9 @@ def code_fingerprint() -> str:
 # ---------------------------------------------------------------------- #
 # lock-free filesystem primitives
 #
-# The store and the fuzz corpus (repro.fuzz.corpus) publish JSON
-# documents by atomic rename and read them tolerantly, so any defect
-# reads as absence.  A campaign killed mid-write leaves at worst a stray
+# The store and the fuzz corpus (repro.fuzz.corpus) publish files by
+# atomic rename and read them tolerantly, so any defect reads as
+# absence.  A campaign killed mid-write leaves at worst a stray
 # temporary file, never a torn entry at a published path.  No locks, no
 # fsync ordering assumptions beyond same-directory rename atomicity.
 # ---------------------------------------------------------------------- #
@@ -174,14 +182,19 @@ def atomic_write_json(path: str, data: dict) -> str:
     reader sees one complete document or the other, never a mixture.
     Returns ``path``.
     """
+    text = json.dumps(data, indent=1, sort_keys=True) + "\n"
+    return _atomic_write(path, text.encode("utf-8"))
+
+
+def _atomic_write(path: str, blob: bytes) -> str:
+    """Publish ``blob`` at ``path`` by tmp file + ``os.replace``."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(
         dir=directory, prefix=".tmp-", suffix=".json")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -190,6 +203,34 @@ def atomic_write_json(path: str, data: dict) -> str:
             pass
         raise
     return path
+
+
+def _read_entry(path: str) -> Optional[Tuple[dict, bytes]]:
+    """An entry file's header and its result line as bytes, or ``None``.
+
+    ``None`` means the first line is not a header of this layout (torn,
+    foreign, or a ``repro-store-entry/1`` document).  The result line is
+    returned unparsed and unchecked.  Raises ``OSError`` when the file
+    cannot be read.
+    """
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    head, _, rest = blob.partition(b"\n")
+    header = _parse_header(head)
+    if header is None:
+        return None
+    return header, rest.partition(b"\n")[0]
+
+
+def _parse_header(line: bytes) -> Optional[dict]:
+    """The header of this layout that ``line`` holds, or ``None``."""
+    try:
+        header = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(header, dict) or header.get("schema") != STORE_SCHEMA:
+        return None
+    return header
 
 
 class StoreEntry(NamedTuple):
@@ -247,13 +288,30 @@ class ResultStore:
         A missing, torn, corrupt, digest-mismatched or wrong-fingerprint
         entry all read as a plain miss: the caller re-simulates and the
         write-back repairs the store.
+
+        An entry whose result line fails its recorded sha256 is
+        *corrupt* (bit rot, a crashed writer that somehow published, a
+        hand edit): the read self-heals by moving the file to
+        ``<root>/quarantine/`` so the next write-back repairs the
+        address, and returns a miss.
         """
-        data = self._load(self.path(spec_hash))
-        if data is None or data.get("spec_hash") != spec_hash:
+        path = self.path(spec_hash)
+        try:
+            entry = _read_entry(path)
+        except OSError:
+            return None
+        if entry is None:
+            return None
+        header, payload = entry
+        if header.get("result_sha256") != hashlib.sha256(payload).hexdigest():
+            self._quarantine(path, header)
+            return None
+        if header.get("fingerprint") != self.fingerprint \
+                or header.get("spec_hash") != spec_hash:
             return None
         try:
-            return SimulationResult.from_dict(data["result"])
-        except (KeyError, TypeError, ValueError):
+            return SimulationResult.from_dict(json.loads(payload))
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
 
     def get_many(self, spec_hashes: Iterable[str]) -> Dict[str, SimulationResult]:
@@ -268,28 +326,7 @@ class ResultStore:
     def __contains__(self, spec_hash: str) -> bool:
         return self.get(spec_hash) is not None
 
-    def _load(self, path: str) -> Optional[dict]:
-        """One verified entry payload, or ``None`` on any defect.
-
-        A well-formed entry whose result payload fails its recorded
-        sha256 is *corrupt* (bit rot, a crashed writer that somehow
-        published, a hand edit): the read self-heals by
-        moving the file to ``<root>/quarantine/`` so the next write-back
-        repairs the address, and returns a miss.
-        """
-        data = read_json(path)
-        if data is None or data.get("schema") != STORE_SCHEMA:
-            return None
-        payload = data.get("result")
-        if not isinstance(payload, dict) \
-                or data.get("result_sha256") != result_digest(payload):
-            self._quarantine(path, data)
-            return None
-        if data.get("fingerprint") != self.fingerprint:
-            return None
-        return data
-
-    def _quarantine(self, path: str, data: dict) -> None:
+    def _quarantine(self, path: str, header: dict) -> None:
         """Move one corrupt entry out of the addressable tree."""
         target = os.path.join(self.root, QUARANTINE_DIR,
                               os.path.basename(path))
@@ -300,8 +337,8 @@ class ResultStore:
             return
         logger.warning(
             "store: quarantined corrupt entry %s (spec %s, fingerprint %s)",
-            os.path.basename(path), data.get("spec_hash", "?"),
-            data.get("fingerprint", "?"))
+            os.path.basename(path), header.get("spec_hash", "?"),
+            header.get("fingerprint", "?"))
 
     # -- writes ---------------------------------------------------------- #
 
@@ -311,19 +348,21 @@ class ResultStore:
 
         Atomic (tmp file + ``os.replace``) and idempotent: simulations
         are deterministic, so concurrent writers racing on one key
-        produce byte-equivalent entries and any rename order is correct.
+        produce byte-identical entries and any rename order is correct.
+        The result payload is encoded once; its sha256 is taken over
+        those bytes.
         """
-        payload = result.to_dict()
-        entry = {
+        payload = canonical_json(result.to_dict())
+        header = {
+            "fingerprint": self.fingerprint,
+            "result_sha256": hashlib.sha256(payload).hexdigest(),
             "schema": STORE_SCHEMA,
             "spec_hash": spec_hash,
-            "fingerprint": self.fingerprint,
-            "experiment": (experiment.to_dict()
-                           if experiment is not None else None),
-            "result": payload,
-            "result_sha256": result_digest(payload),
         }
-        return atomic_write_json(self.path(spec_hash), entry)
+        spec = experiment.to_dict() if experiment is not None else None
+        blob = b"\n".join((canonical_json(header), payload,
+                           canonical_json(spec), b""))
+        return _atomic_write(self.path(spec_hash), blob)
 
     # -- maintenance ----------------------------------------------------- #
 
@@ -347,16 +386,20 @@ class ResultStore:
                     yield os.path.join(shard_dir, filename)
 
     def entries(self) -> Iterator[StoreEntry]:
-        """Every entry file on disk, any fingerprint, defects included."""
+        """Every entry file on disk, any fingerprint, defects included.
+
+        Only the header line is read.  A file without a header of this
+        layout (torn, foreign, ``repro-store-entry/1``) has an empty
+        spec hash and fingerprint, so it counts as stale.
+        """
         for path in self.paths():
             try:
                 stat = os.stat(path)
-                with open(path, "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
-            except (OSError, ValueError):
-                data, stat = {}, None
-            if not isinstance(data, dict):
-                data = {}
+                with open(path, "rb") as handle:
+                    header = _parse_header(handle.readline())
+            except OSError:
+                header, stat = None, None
+            data = header or {}
             yield StoreEntry(
                 path=path,
                 key=os.path.basename(path)[:-len(".json")],
@@ -395,31 +438,31 @@ class ResultStore:
     def verify(self) -> List[Tuple[str, str]]:
         """``(path, problem)`` for every defective entry of any age.
 
-        Checks JSON well-formedness, the schema tag, the result-payload
-        digest, and that the file sits at the address its content hashes
-        to under its *recorded* fingerprint (stale-but-intact entries of
-        older kernels verify clean; they are ``prune``'s business).
+        Checks the header line (well-formed, this layout's schema tag),
+        the result line's sha256, and that the file sits at the address
+        its header hashes to under its *recorded* fingerprint
+        (stale-but-intact entries of older kernels verify clean; they
+        are ``prune``'s business, as are ``repro-store-entry/1`` files,
+        which report as not a store entry).
         """
         problems: List[Tuple[str, str]] = []
         for path in self.paths():
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
-            except (OSError, ValueError) as exc:
+                entry = _read_entry(path)
+            except OSError as exc:
                 problems.append((path, f"unreadable: {exc}"))
                 continue
-            if not isinstance(data, dict) \
-                    or data.get("schema") != STORE_SCHEMA:
+            if entry is None:
                 problems.append((path, "not a store entry"))
                 continue
-            payload = data.get("result")
-            if not isinstance(payload, dict) \
-                    or data.get("result_sha256") != result_digest(payload):
+            header, payload = entry
+            if header.get("result_sha256") \
+                    != hashlib.sha256(payload).hexdigest():
                 problems.append((path, "result digest mismatch"))
                 continue
             recorded = ResultStore(self.root,
-                                   fingerprint=str(data.get("fingerprint")))
-            expected = recorded.key(str(data.get("spec_hash")))
+                                   fingerprint=str(header.get("fingerprint")))
+            expected = recorded.key(str(header.get("spec_hash")))
             if os.path.basename(path) != f"{expected}.json":
                 problems.append((path, "entry at wrong address"))
         return problems

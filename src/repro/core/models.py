@@ -80,8 +80,6 @@ class ModelProperties:
             ``"stores"`` only).
         scope_fence_available: whether the model defines the scope-fence
             (scope-relaxed only).
-        pim_fence_required: whether ordering between PIM ops of different
-            scopes needs the dedicated fence of [21].
         scope_buffer_all_caches: scope buffer + SBV in every cache level
             (scope-relaxed) or only at the LLC.
         flushes_at_llc: whether PIM ops flush their scope from the LLC on
@@ -93,7 +91,6 @@ class ModelProperties:
     blocks_commit: bool
     entry_point_holds: str
     scope_fence_available: bool
-    pim_fence_required: bool
     scope_buffer_all_caches: bool
     flushes_at_llc: bool
 
@@ -187,7 +184,6 @@ MODEL_PROPERTIES = {
         blocks_commit=True,
         entry_point_holds="all",
         scope_fence_available=False,
-        pim_fence_required=False,
         scope_buffer_all_caches=False,
         flushes_at_llc=True,
     ),
@@ -197,7 +193,6 @@ MODEL_PROPERTIES = {
         blocks_commit=False,
         entry_point_holds="stores",
         scope_fence_available=False,
-        pim_fence_required=False,
         scope_buffer_all_caches=False,
         flushes_at_llc=True,
     ),
@@ -207,7 +202,6 @@ MODEL_PROPERTIES = {
         blocks_commit=False,
         entry_point_holds="same-scope",
         scope_fence_available=False,
-        pim_fence_required=True,
         scope_buffer_all_caches=False,
         flushes_at_llc=True,
     ),
@@ -217,7 +211,6 @@ MODEL_PROPERTIES = {
         blocks_commit=False,
         entry_point_holds="none",
         scope_fence_available=True,
-        pim_fence_required=True,
         scope_buffer_all_caches=True,
         flushes_at_llc=True,
     ),
@@ -227,7 +220,6 @@ MODEL_PROPERTIES = {
         blocks_commit=False,
         entry_point_holds="none",
         scope_fence_available=False,
-        pim_fence_required=False,
         scope_buffer_all_caches=False,
         flushes_at_llc=False,
     ),
@@ -237,7 +229,6 @@ MODEL_PROPERTIES = {
         blocks_commit=False,
         entry_point_holds="none",
         scope_fence_available=False,
-        pim_fence_required=False,
         scope_buffer_all_caches=False,
         flushes_at_llc=False,
     ),
@@ -249,7 +240,6 @@ MODEL_PROPERTIES = {
         blocks_commit=False,
         entry_point_holds="none",
         scope_fence_available=False,
-        pim_fence_required=False,
         scope_buffer_all_caches=False,
         flushes_at_llc=False,
     ),

@@ -35,15 +35,22 @@ from repro.system.builder import System
 RESULT_SCHEMA = "repro-simulation-result/1"
 
 
-def result_digest(payload: Mapping[str, object]) -> str:
-    """Canonical SHA-256 of one serialized result payload.
+def canonical_json(value: object) -> bytes:
+    """The canonical JSON encoding of ``value``.
 
-    The digest is computed over the sorted, separator-normalized JSON
-    encoding, so it is independent of dict ordering, whitespace and the
-    machine that produced it; the result store verifies it on every read.
+    Sorted keys, no whitespace, ASCII only: independent of dict ordering
+    and of the machine that produced it.  JSON escapes newlines inside
+    strings, so the encoding is always one line; the result store keeps
+    a result payload's encoding as an entry's result line.
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def result_digest(payload: Mapping[str, object]) -> str:
+    """Canonical SHA-256 of one serialized result payload: the digest of
+    its :func:`canonical_json` bytes."""
+    return hashlib.sha256(canonical_json(payload)).hexdigest()
 
 
 @dataclass

@@ -38,7 +38,13 @@ class ZipfianGenerator:
 
     @staticmethod
     def _compute_zeta(n: int, theta: float) -> float:
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+        # Plain left-to-right float additions.  The sum fixes ``_eta``
+        # and so the key stream; ``sum()`` of floats is compensated from
+        # Python 3.12 on and would give a different last bit.
+        zeta = 0.0
+        for i in range(1, n + 1):
+            zeta += 1.0 / (i ** theta)
+        return zeta
 
     def next(self) -> int:
         """The next Zipfian-distributed value (0 is the most popular)."""

@@ -111,9 +111,9 @@ def test_store_prune_by_fingerprint_cli(tmp_path, capsys):
 def test_store_verify_lists_quarantined_entries(tmp_path, capsys):
     """A quarantined entry makes `store verify` exit nonzero and name
     the file, even though the addressable tree itself is clean."""
-    import json
     import os
 
+    from helpers import read_entry, write_entry
     from repro.api.experiment import Experiment
     from repro.api.runner import Runner
     from repro.api.store import ResultStore
@@ -127,11 +127,9 @@ def test_store_verify_lists_quarantined_entries(tmp_path, capsys):
     assert main(["store", "verify", "--store", str(tmp_path)]) == 0
 
     path = next(iter(store.paths()))
-    with open(path) as handle:
-        entry = json.load(handle)
-    entry["result"]["run_time"] += 1
-    with open(path, "w") as handle:
-        handle.write(json.dumps(entry))
+    header, result, spec = read_entry(path)
+    result["run_time"] += 1
+    write_entry(path, header, result, spec)
     assert store.get(exp.spec_hash()) is None  # corrupt read quarantines
 
     capsys.readouterr()

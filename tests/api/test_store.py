@@ -5,11 +5,16 @@ import os
 
 import pytest
 
-from helpers import CountingBackend
+from helpers import CountingBackend, read_entry, write_entry
 from repro.api import Experiment, ResultStore, Runner, SerialBackend
 from repro.api.backends import ProcessPoolBackend
 from repro.api.store import STORE_SCHEMA, code_fingerprint
-from repro.system.simulation import RESULT_SCHEMA, SimulationResult
+from repro.system.simulation import (
+    RESULT_SCHEMA,
+    SimulationResult,
+    canonical_json,
+    result_digest,
+)
 
 #: A litmus point small enough that every test simulates in milliseconds.
 LITMUS = {
@@ -84,13 +89,17 @@ def test_put_get_round_trip_and_layout(tmp_path, litmus_result):
     assert spec_hash in store
     assert store.get("no-such-spec") is None
 
-    with open(path) as handle:
-
-        entry = json.load(handle)
-    assert entry["schema"] == STORE_SCHEMA
-    assert entry["spec_hash"] == spec_hash
-    assert entry["fingerprint"] == code_fingerprint()
-    assert Experiment.from_dict(entry["experiment"]) == exp
+    # three lines: a small header, the canonical payload, the spec
+    with open(path, "rb") as handle:
+        header_line, result_line, spec_line = handle.read().splitlines()
+    header = json.loads(header_line)
+    assert sorted(header) == ["fingerprint", "result_sha256", "schema",
+                              "spec_hash"]
+    assert header["schema"] == STORE_SCHEMA
+    assert header["spec_hash"] == spec_hash
+    assert header["fingerprint"] == code_fingerprint()
+    assert result_line == canonical_json(litmus_result.to_dict())
+    assert Experiment.from_dict(json.loads(spec_line)) == exp
 
 
 def test_key_depends_on_fingerprint(tmp_path):
@@ -116,16 +125,14 @@ def test_corrupt_entries_read_as_misses(tmp_path, litmus_result):
     path = store.put(exp.spec_hash(), litmus_result, exp)
 
     # tampered statistics: digest verification fails -> miss
-    with open(path) as handle:
-        entry = json.load(handle)
-    entry["result"]["run_time"] += 1
-    with open(path, "w") as handle:
-        handle.write(json.dumps(entry))
+    header, result, spec = read_entry(path)
+    result["run_time"] += 1
+    write_entry(path, header, result, spec)
     assert store.get(exp.spec_hash()) is None
 
-    # torn write: invalid JSON -> miss, not an exception
+    # torn write: a header cut short -> miss, not an exception
     with open(path, "w") as handle:
-        handle.write("{\"schema\": \"repro-store")
+        handle.write("{\"fingerprint\":\"")
     assert store.get(exp.spec_hash()) is None
 
     # foreign file at the right address -> miss
@@ -143,11 +150,9 @@ def test_corrupt_entry_is_quarantined_on_read(tmp_path, litmus_result,
     store = ResultStore(str(tmp_path))
     exp = _experiment()
     path = store.put(exp.spec_hash(), litmus_result, exp)
-    with open(path) as handle:
-        entry = json.load(handle)
-    entry["result"]["run_time"] += 1
-    with open(path, "w") as handle:
-        handle.write(json.dumps(entry))
+    header, result, spec = read_entry(path)
+    result["run_time"] += 1
+    write_entry(path, header, result, spec)
 
     with caplog.at_level(logging.WARNING, logger="repro.store"):
         assert store.get(exp.spec_hash()) is None
@@ -167,12 +172,19 @@ def test_corrupt_entry_is_quarantined_on_read(tmp_path, litmus_result,
     assert store.get(exp.spec_hash()) is not None
     assert store.stats()["entries"] == 1
 
-    # torn JSON and foreign schemas are misses but NOT quarantined
+    # a torn header and a foreign schema are misses but NOT quarantined
     # (nothing trustworthy to preserve, and tmp files must not move)
-    with open(path, "w") as handle:
-        handle.write("{\"schema\": \"repro-store")
+    with open(path, "rb") as handle:
+        intact = handle.read()
+    newline = intact.index(b"\n")
+    with open(path, "wb") as handle:  # the header loses its closing brace
+        handle.write(intact[:newline - 1] + intact[newline:])
+    assert store.get(exp.spec_hash()) is None
+    with open(path, "wb") as handle:
+        handle.write(intact.replace(STORE_SCHEMA.encode(), b"foreign/1"))
     assert store.get(exp.spec_hash()) is None
     assert store.stats()["quarantined"] == 1
+    assert os.path.exists(path)
 
 
 def test_prune_by_fingerprint(tmp_path, litmus_result):
@@ -210,18 +222,15 @@ def test_verify_reports_each_defect(tmp_path, litmus_result):
     assert store.verify() == []
 
     # a tampered payload and a misplaced copy are both flagged
-    with open(good_path) as handle:
-        entry = json.load(handle)
-    entry["result"]["events"] += 7
+    header, result, spec = read_entry(good_path)
+    result["events"] += 7
     bad_path = os.path.join(os.path.dirname(good_path), "0" * 40 + ".json")
-    with open(bad_path, "w") as handle:
-        handle.write(json.dumps(entry))
+    write_entry(bad_path, header, result, spec)
     problems = dict(store.verify())
     assert problems[bad_path] == "result digest mismatch"
 
-    entry["result"]["events"] -= 7  # intact content, wrong address
-    with open(bad_path, "w") as handle:
-        handle.write(json.dumps(entry))
+    result["events"] -= 7  # intact content, wrong address
+    write_entry(bad_path, header, result, spec)
     problems = dict(store.verify())
     assert problems[bad_path] == "entry at wrong address"
 
@@ -256,6 +265,113 @@ def test_stats_and_prune(tmp_path, litmus_result):
     assert store.prune(max_age_days=7) == 1
     assert store.get(exps[0].spec_hash()) is None
     assert store.get(exps[1].spec_hash()) is not None
+
+
+def test_v1_entry_is_a_stale_miss(tmp_path, litmus_result):
+    """An entry of the one-document layout this one replaced, at the
+    current address with the current fingerprint and a valid digest, is
+    not an entry: a read misses without quarantining it, `stats` counts
+    it stale, `prune --stale` removes it and the address takes a new
+    entry."""
+    store = ResultStore(str(tmp_path))
+    exp = _experiment()
+    spec_hash = exp.spec_hash()
+    payload = litmus_result.to_dict()
+    v1 = {
+        "schema": "repro-store-entry/1",
+        "spec_hash": spec_hash,
+        "fingerprint": store.fingerprint,
+        "experiment": exp.to_dict(),
+        "result": payload,
+        "result_sha256": result_digest(payload),
+    }
+    path = store.path(spec_hash)
+    os.makedirs(os.path.dirname(path))
+    # as v1 wrote it, and on one line (a parseable first line)
+    for text in (json.dumps(v1, indent=1, sort_keys=True) + "\n",
+                 json.dumps(v1)):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert store.get(spec_hash) is None
+        assert os.path.exists(path)  # a miss, not quarantined
+        stats = store.stats()
+        assert (stats["entries"], stats["current_entries"],
+                stats["stale_entries"], stats["quarantined"]) == (1, 0, 1, 0)
+        assert store.verify() == [(path, "not a store entry")]
+
+    assert store.prune(stale=True) == 1
+    assert not os.path.exists(path)
+    assert store.verify() == []
+    store.put(spec_hash, litmus_result, exp)
+    assert store.get(spec_hash).stats == litmus_result.stats
+
+
+def test_every_header_records_the_result_digest(tmp_path):
+    """The header's sha256 is `result_digest` of the stored result, so
+    every digest keeps its value across the layout change."""
+    store = ResultStore(str(tmp_path))
+    exps = [_experiment(config=dict(LITMUS["config"], model=model))
+            for model in ("naive", "atomic")]
+    results = Runner(store=store).run_all(exps)
+    for exp, result in zip(exps, results):
+        header = read_entry(store.path(exp.spec_hash()))[0]
+        assert header["result_sha256"] == result_digest(result.to_dict())
+        assert header["result_sha256"] == \
+            result_digest(store.get(exp.spec_hash()).to_dict())
+    assert sorted(e.spec_hash for e in store.entries()) == \
+        sorted(e.spec_hash() for e in exps)
+
+
+def test_warm_get_encodes_nothing_and_put_encodes_the_payload_once(
+        tmp_path, litmus_result, monkeypatch):
+    """Counts JSON encoder calls; times nothing.  `result_digest`
+    encodes too, so a call to it anywhere would be counted."""
+    exp = _experiment()
+    spec_hash = exp.spec_hash()
+    encoded = []
+    iterencode = json.JSONEncoder.iterencode
+
+    def counting_iterencode(self, o, *args, **kwargs):
+        encoded.append(o)
+        return iterencode(self, o, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
+    store = ResultStore(str(tmp_path))
+    store.put(spec_hash, litmus_result, exp)
+    payload = litmus_result.to_dict()
+    # the payload alone, or nested in a document that holds it
+    assert sum(o == payload or (isinstance(o, dict) and payload in o.values())
+               for o in encoded) == 1
+
+    encoded.clear()
+    hit = store.get(spec_hash)
+    assert hit is not None and hit.stats == litmus_result.stats
+    assert encoded == []
+
+
+def test_corpus_files_keep_their_bytes(tmp_path):
+    """`atomic_write_json`, which the fuzz corpus writes through, gives
+    the bytes of `json.dump(..., indent=1, sort_keys=True)` and a
+    newline."""
+    import io
+
+    from repro.api.store import atomic_write_json
+    from repro.fuzz.corpus import FuzzCorpus, corpus_entry
+    from repro.fuzz.generate import generate_batch
+
+    entry = corpus_entry(generate_batch(seed=7, count=1)[0])
+    documents = [
+        (FuzzCorpus(str(tmp_path)).add(entry), entry),
+        (atomic_write_json(str(tmp_path / "doc.json"),
+                           {"b": [1, 2.5, None, True], "a": "caf\u00e9\n"}),
+         {"b": [1, 2.5, None, True], "a": "caf\u00e9\n"}),
+    ]
+    for path, document in documents:
+        expected = io.StringIO()
+        json.dump(document, expected, indent=1, sort_keys=True)
+        expected.write("\n")
+        with open(path, "rb") as handle:
+            assert handle.read() == expected.getvalue().encode("utf-8")
 
 
 def test_concurrent_writers_last_rename_wins(tmp_path, litmus_result):

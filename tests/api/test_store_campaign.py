@@ -22,7 +22,7 @@ import repro
 # tests/ is on sys.path (tests/conftest.py): the event budget is the
 # digest gate's, so a run that stops making progress fails fast.
 from api.test_default_digests import PINNED_MAX_EVENTS
-from helpers import CountingBackend
+from helpers import CountingBackend, read_entry, write_entry
 from repro.api import (
     Axis,
     Campaign,
@@ -353,11 +353,9 @@ def test_corrupt_entry_is_quarantined_and_resimulated(tmp_path, capsys):
 
     store = ResultStore(store_dir)
     path = next(iter(store.paths()))
-    with open(path, encoding="utf-8") as handle:
-        entry = json.load(handle)
-    entry["result"]["run_time"] += 1  # the recorded sha256 is now stale
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(entry, handle)
+    header, result, spec = read_entry(path)
+    result["run_time"] += 1  # the recorded sha256 is now stale
+    write_entry(path, header, result, spec)
 
     assert main(["sweep", "run", "smoke", "--store", store_dir]) == 0
     second = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import cProfile
 import dataclasses
+import json
 import pstats
 from typing import List, Optional, Sequence
 
@@ -14,7 +15,7 @@ from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message, MessageType
 from repro.system.builder import System
-from repro.system.simulation import collect_result
+from repro.system.simulation import canonical_json, collect_result
 
 
 class CaptureSink(Component):
@@ -112,6 +113,22 @@ class CountingBackend(SerialBackend):
     @property
     def executed(self) -> List[str]:
         return [h for batch in self.batches for h in batch]
+
+
+def read_entry(path: str) -> list:
+    """A result-store entry file's three lines, parsed: the header, the
+    result payload and the experiment spec."""
+    with open(path, "rb") as handle:
+        return [json.loads(line) for line in handle.read().splitlines()]
+
+
+def write_entry(path: str, header: dict, result: dict, spec) -> None:
+    """Write a result-store entry file by hand, as the store writes one:
+    with a ``result`` edited after :func:`read_entry`, the header's
+    recorded sha256 no longer matches."""
+    lines = [canonical_json(value) for value in (header, result, spec)]
+    with open(path, "wb") as handle:
+        handle.write(b"\n".join(lines + [b""]))
 
 
 def profile_run(spec, trace=None):

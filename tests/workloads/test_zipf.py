@@ -44,6 +44,27 @@ def test_single_item():
     assert gen.next() == 0
 
 
+#: zeta(items, theta) of every (record count, skew) pair the paper grid
+#: draws from: the YCSB scope sweep at 2000 records per scope and the
+#: skew axis at 8 scopes.  A left-to-right float sum, the same bits on
+#: every Python version (``sum()`` compensates from 3.12 on).
+GRID_ZETAS = {
+    (8000, 0.99): "0x1.3f5bf61db2771p+3",
+    (16000, 0.99): "0x1.57b579bb42270p+3",
+    (32000, 0.99): "0x1.703a7cb7c5442p+3",
+    (64000, 0.99): "0x1.88eb3abada36bp+3",
+    (96000, 0.99): "0x1.97710165047e0p+3",
+    (16000, 0.2): "0x1.68979de8252bap+11",
+    (16000, 0.6): "0x1.d8a52776232c7p+6",
+}
+
+
+@pytest.mark.parametrize("items,theta", sorted(GRID_ZETAS))
+def test_zeta_is_pinned_to_the_bit(items, theta):
+    zeta = ZipfianGenerator._compute_zeta(items, theta)
+    assert zeta.hex() == GRID_ZETAS[items, theta]
+
+
 def test_invalid_items():
     with pytest.raises(ValueError):
         ZipfianGenerator(0)
