@@ -803,7 +803,9 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
     print(f"  size             : {stats['size_bytes']:,} bytes")
     for fingerprint, count in stats["by_fingerprint"].items():
         marker = "  (current)" if fingerprint == stats["fingerprint"] else ""
-        print(f"  {fingerprint} : {count} entries{marker}")
+        # Torn files and other layouts' entries have no fingerprint.
+        label = fingerprint or "(no entry header)"
+        print(f"  {label} : {count} entries{marker}")
     return 0
 
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.models import ConsistencyModel
 # Re-exported here for compatibility: the dict round trip lives next to
@@ -129,7 +130,7 @@ class Experiment:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Experiment":
         data = dict(data)
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = set(data) - _EXPERIMENT_KEYS
         if unknown:
             raise ValueError(f"unknown experiment keys: {sorted(unknown)}")
         return cls(
@@ -143,3 +144,6 @@ class Experiment:
     def with_model(self, model: ConsistencyModel) -> "Experiment":
         """The same experiment under another consistency model."""
         return replace(self, config=self.config.with_model(model))
+
+
+_EXPERIMENT_KEYS = frozenset(f.name for f in fields(Experiment))

@@ -418,7 +418,7 @@ class Campaign:
 # ---------------------------------------------------------------------- #
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointResult:
     """One campaign point's outcome: a result or an error, never both."""
 
@@ -447,13 +447,21 @@ def _result_value(result: SimulationResult, key: str):
     return getattr(result, key)
 
 
+@dataclass(frozen=True)
 class CampaignResult:
-    """Aggregated campaign outcomes: tables, pivoted series, digest."""
+    """Aggregated campaign outcomes: tables, pivoted series, digest.
 
-    def __init__(self, campaign: Campaign,
-                 points: Sequence[PointResult]) -> None:
-        self.campaign = campaign
-        self.points = list(points)
+    Immutable: ``points`` is stored as a tuple of frozen
+    :class:`PointResult` records, so :meth:`digest` is computed once per
+    instance and the report, the JSON artifact and ``sweep run``'s
+    printed digest share that one encoding.
+    """
+
+    campaign: Campaign
+    points: Tuple[PointResult, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "points", tuple(self.points))
 
     @property
     def ok_points(self) -> List[PointResult]:
@@ -486,7 +494,12 @@ class CampaignResult:
         Equal digests between two runs (Serial vs ProcessPool, today vs
         a cached resume) prove they computed identical statistics on
         identical specs -- CI's backend-equivalence gate compares these.
+        Computed once per instance; the memo is kept out of ``==`` and
+        ``repr``, as :meth:`Experiment.spec_hash`'s is.
         """
+        memo = self.__dict__.get("_digest")
+        if memo is not None:
+            return memo
         payload = [
             {
                 "name": p.name,
@@ -502,7 +515,9 @@ class CampaignResult:
             for p in self.points
         ]
         canonical = json.dumps(payload, sort_keys=True, default=repr)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        memo = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_digest", memo)
+        return memo
 
     # -- figure-grade aggregation ---------------------------------------- #
 

@@ -14,8 +14,9 @@ All latencies are in host clock cycles (3.6 GHz in Table II).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.core.models import ConsistencyModel
 
@@ -327,14 +328,24 @@ _NESTED_CONFIG = {
     "trace": TraceConfig,
 }
 
-_CONFIG_PRESETS = {
-    "paper": SystemConfig.paper_default,
-    "scaled": SystemConfig.scaled_default,
+#: Each config class's field names, in declaration order.
+_FIELD_NAMES = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (SystemConfig, *_NESTED_CONFIG.values())
 }
+
+_DEFAULT_TRACE = TraceConfig()
 
 
 def _fields_dict(obj) -> Dict[str, object]:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: getattr(obj, name) for name in _FIELD_NAMES[type(obj)]}
+
+
+#: Each preset's field values, from its zero-argument factory.
+_PRESET_FIELDS = {
+    "paper": _fields_dict(SystemConfig.paper_default()),
+    "scaled": _fields_dict(SystemConfig.scaled_default()),
+}
 
 
 def config_to_dict(config: SystemConfig) -> Dict[str, object]:
@@ -351,7 +362,7 @@ def config_to_dict(config: SystemConfig) -> Dict[str, object]:
     for key in _NESTED_CONFIG:
         data[key] = _fields_dict(data[key])
     data["model"] = config.model.value
-    if config.trace == TraceConfig():
+    if config.trace == _DEFAULT_TRACE:
         del data["trace"]
     return data
 
@@ -366,6 +377,12 @@ def config_from_dict(data) -> SystemConfig:
     * a preset form, ``{"preset": "scaled"|"paper", ...overrides}``,
       where nested sections may be *partial* dicts applied on top of the
       preset (e.g. ``{"preset": "scaled", "pim": {"zero_logic": True}}``).
+
+    A preset form's overrides apply together: each partial section is
+    merged into the preset's section, and the :class:`SystemConfig` is
+    built once, so only the final config is validated and the order of
+    the keys does not matter (a new ``scope_bytes`` and a ``pim_base``
+    aligned to it load in either order).
     """
     if isinstance(data, SystemConfig):
         return data
@@ -377,20 +394,19 @@ def config_from_dict(data) -> SystemConfig:
 
     if preset is not None:
         try:
-            factory = _CONFIG_PRESETS[preset]
+            values = dict(_PRESET_FIELDS[preset])
         except KeyError:
             raise ValueError(
                 f"unknown config preset {preset!r}; "
-                f"expected one of {sorted(_CONFIG_PRESETS)}"
+                f"expected one of {sorted(_PRESET_FIELDS)}"
             ) from None
-        base = factory()
-        if model is not None:
-            base = base.with_model(model)
         for key, value in data.items():
             if key in _NESTED_CONFIG and isinstance(value, Mapping):
-                value = replace(getattr(base, key), **value)
-            base = replace(base, **{key: value})
-        return base
+                value = replace(values[key], **value)
+            values[key] = value
+        if model is not None:
+            values["model"] = model
+        return SystemConfig(**values)
 
     for key, cls in _NESTED_CONFIG.items():
         if key in data and isinstance(data[key], Mapping):

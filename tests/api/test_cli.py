@@ -108,6 +108,29 @@ def test_store_prune_by_fingerprint_cli(tmp_path, capsys):
     assert "pruned 1 entries" in capsys.readouterr().out
 
 
+def test_store_stats_names_files_without_an_entry_header(tmp_path, capsys):
+    """A file without a header of the current layout (here one
+    `repro-store-entry/1` document) counts stale and is listed under a
+    label instead of an empty fingerprint."""
+    import json
+    import os
+
+    from repro.api.store import ResultStore
+
+    store = ResultStore(str(tmp_path))
+    path = store.path("0" * 20)
+    os.makedirs(os.path.dirname(path))
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({"schema": "repro-store-entry/1", "spec_hash": "0" * 20,
+                   "fingerprint": store.fingerprint}, handle)
+
+    assert main(["store", "stats", "--store", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  entries          : 1 (0 current, 1 stale)" in lines
+    assert "  (no entry header) : 1 entries" in lines
+    assert store.stats()["by_fingerprint"] == {"": 1}
+
+
 def test_store_verify_lists_quarantined_entries(tmp_path, capsys):
     """A quarantined entry makes `store verify` exit nonzero and name
     the file, even though the addressable tree itself is clean."""

@@ -1,16 +1,24 @@
 """Spec-hash identity: the pinned hashes of every registered campaign,
 the config serialization behind them, and the per-instance memo."""
 
+import cProfile
+import dataclasses
 import hashlib
 import json
 import pickle
+import pstats
 from dataclasses import asdict, replace
 
 from repro.analysis.report import campaign_markdown
 from repro.api import Experiment, Runner, get_campaign, run_campaign
 from repro.api.sweep import campaign_names
 from repro.core.models import ConsistencyModel
-from repro.sim.config import SystemConfig, TraceConfig, config_to_dict
+from repro.sim.config import (
+    SystemConfig,
+    TraceConfig,
+    config_from_dict,
+    config_to_dict,
+)
 
 #: sha256 of the sorted ``(campaign, point name, spec hash)`` triples of
 #: every registered campaign.  Store keys are
@@ -75,6 +83,33 @@ def test_config_to_dict_matches_the_asdict_reference():
                           reference_config_to_dict(config))
 
 
+def _dataclass_fields_calls(fn, *args) -> int:
+    """How many times ``fn(*args)`` calls ``dataclasses.fields``."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        fn(*args)
+    finally:
+        profiler.disable()
+    return sum(nc for (filename, _line, name), (_cc, nc, *_rest)
+               in pstats.Stats(profiler).stats.items()
+               if name == "fields" and filename == dataclasses.__file__)
+
+
+def test_config_round_trip_reads_no_dataclass_fields():
+    """Field names are read once at import, not per call: serializing a
+    config, loading a preset form without nested sections and loading
+    an experiment spec make no `dataclasses.fields` call."""
+    config = SystemConfig.scaled_default()
+    form = {"preset": "scaled", "model": "scope", "num_scopes": 8,
+            "sbv_enabled": False}
+    spec = {"workload": "ycsb", "config": form,
+            "params": {"num_records": 8000, "num_ops": 10}}
+    assert _dataclass_fields_calls(config_to_dict, config) == 0
+    assert _dataclass_fields_calls(config_from_dict, form) == 0
+    assert _dataclass_fields_calls(Experiment.from_dict, spec) == 0
+
+
 # --------------------------------------------------------------------- #
 # the per-instance memo
 # --------------------------------------------------------------------- #
@@ -116,6 +151,39 @@ def test_warm_replay_serializes_each_spec_once(tmp_path, monkeypatch):
     assert warm.digest() == cold_digest
     campaign_markdown(warm)
     assert len(serialized) <= len(warm.points)
+
+
+def test_warm_replay_encodes_the_campaign_digest_once(tmp_path,
+                                                      monkeypatch):
+    """One warm replay's digest, report and JSON artifact share one
+    encoding of the digest payload (three before the memo).  Counts
+    JSON encoder calls; times nothing."""
+    campaign = get_campaign("smoke")
+    store = str(tmp_path / "store")
+    cold = run_campaign(campaign, store=store)
+    assert not cold.failed_points
+    cold_digest = cold.digest()
+
+    encoded = []
+    iterencode = json.JSONEncoder.iterencode
+
+    def counting_iterencode(self, o, *args, **kwargs):
+        encoded.append(o)
+        return iterencode(self, o, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
+    runner = Runner(store=store)
+    warm = run_campaign(campaign, runner=runner)
+    assert runner.dispatch_count == 0
+    digest = warm.digest()
+    report = campaign_markdown(warm)
+    artifact = warm.to_json_dict()
+    assert digest == cold_digest == artifact["digest"]
+    assert f"Result digest: `{digest}`" in report
+    payloads = [o for o in encoded
+                if isinstance(o, list) and o and isinstance(o[0], dict)
+                and set(o[0]) == {"name", "spec", "result", "failed"}]
+    assert len(payloads) == 1
 
 
 def test_derived_specs_hash_afresh():

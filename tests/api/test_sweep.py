@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.api import (
     run_campaign,
 )
 from repro.api.backends import ProcessPoolBackend
+from repro.api.sweep import CampaignResult, PointResult
 from repro.core.models import ConsistencyModel
 from repro.sim.config import SystemConfig
 
@@ -151,7 +153,7 @@ def test_filter_removing_every_point_still_runs():
     backend = CountingBackend()
     result = run_campaign(Campaign(name="empty", sweeps=(sweep,)),
                           runner=Runner(backend=backend))
-    assert result.points == []
+    assert result.points == ()
     assert backend.executed == []
     assert isinstance(result.digest(), str)
 
@@ -224,6 +226,25 @@ def _two_model_campaign() -> Campaign:
         name="ycsb", base=YCSB_BASE,
         axes=(Axis("model", ("naive", "atomic")),),
     ),))
+
+
+def test_campaign_results_are_immutable():
+    """A point's outcome and a campaign's points cannot be reassigned,
+    and the memoized digest stays out of equality and repr."""
+    point = PointResult(name="p", sweep="s", coords={"model": "naive"},
+                        experiment=Experiment.from_dict(YCSB_BASE),
+                        error="boom")
+    with pytest.raises(FrozenInstanceError):
+        point.error = None
+    campaign = Campaign(name="c", sweeps=())
+    result = CampaignResult(campaign, [point])
+    assert result.points == (point,)
+    with pytest.raises(FrozenInstanceError):
+        result.points = ()
+    digest = result.digest()
+    unhashed = CampaignResult(campaign, [point])
+    assert result == unhashed and repr(result) == repr(unhashed)
+    assert unhashed.digest() == digest
 
 
 def test_duplicate_points_simulate_once():
