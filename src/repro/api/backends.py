@@ -45,15 +45,18 @@ def execute_experiment(experiment: Experiment,
     and therefore its hash, the store key and every pinned digest -- is
     untouched; only the built system gets the tracing config.  Tracing
     never perturbs simulation state, so the result differs from an
-    untraced run only by the extra ``obs`` payload.
+    untraced run only by the extra ``obs`` payload: its ``config`` is
+    the experiment's own, as a store hit's is.
     """
     config = experiment.config
     if trace is not None:
         config = dataclasses.replace(config, trace=trace)
     workload = experiment.build_workload()
-    return run_workload(
+    result = run_workload(
         config, workload, max_events=experiment.max_events
     )
+    result.config = experiment.config
+    return result
 
 
 @dataclass

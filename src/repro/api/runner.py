@@ -106,13 +106,19 @@ class Runner:
 
         ``trace`` (a :class:`~repro.sim.config.TraceConfig`) overlays
         observability on execution without changing spec hashes -- cache
-        and store keys are identical traced or not.  ``progress`` is
-        called with point counts as they settle; cache and store hits
-        are reported upfront, and duplicate specs count as many points
-        as they serve.
+        and store keys are identical traced or not.  An enabled trace is
+        served only results that carry ``obs``: a cached or stored
+        result without it counts as a miss, simulates traced, and its
+        traced result replaces it in both tiers.  Untraced batches are
+        served traced results.  ``progress`` is called with point
+        counts as they settle; cache and store hits are reported
+        upfront, and duplicate specs count as many points as they
+        serve.
         """
         hashes, failed = self._settle(experiments, trace, progress)
-        return [(self._cache.get(h), failed.get(h)) for h in hashes]
+        cache = self._cache
+        return [(None, failed[h]) if h in failed else (cache[h], None)
+                for h in hashes]
 
     def _settle(self, experiments: Iterable[Experiment], trace=None,
                 progress=None) -> Tuple[List[str], Dict[str, str]]:
@@ -127,12 +133,14 @@ class Runner:
         experiments = list(experiments)
         hashes = [e.spec_hash() for e in experiments]
         cache = self._cache
+        traced = trace is not None and trace.enabled
         missing: Dict[str, Experiment] = {}
         for h, e in zip(hashes, experiments):
-            if h not in cache:
+            hit = cache.get(h)
+            if hit is None or (traced and hit.obs is None):
                 missing.setdefault(h, e)
         if missing and self.store is not None:
-            hydrated = self.store.get_many(missing.keys())
+            hydrated = self._store_hits(missing, traced)
             if hydrated:
                 self.store_hits += len(hydrated)
                 cache.update(hydrated)
@@ -175,9 +183,20 @@ class Runner:
                 # another process sharing the store may have written the
                 # point meanwhile.  A spec that fails to simulate never
                 # reaches the store, so this rescues only such points.
-                rescued = self.store.get_many(list(failed))
+                rescued = self._store_hits(
+                    {h: missing[h] for h in failed}, traced)
                 for h, result in rescued.items():
                     cache[h] = result
                     del failed[h]
                 self.reconciled += len(rescued)
         return hashes, failed
+
+    def _store_hits(self, requests: Dict[str, Experiment],
+                    traced: bool) -> Dict[str, SimulationResult]:
+        """The store's results for ``requests`` (spec hash -> the
+        experiment asking); a traced batch takes only those with
+        ``obs``."""
+        hits = self.store.get_many(requests)
+        if traced:
+            hits = {h: r for h, r in hits.items() if r.obs is not None}
+        return hits

@@ -50,8 +50,11 @@ the bytes :func:`~repro.system.simulation.result_digest` hashes
 (:func:`~repro.system.simulation.canonical_json`), and the header's
 ``result_sha256`` is their sha256, so the check on read is byte-level: a
 read parses the small header, hashes line 2 as it lies on disk and
-parses only line 2.  Nothing reads line 3, the spec, which is kept for
-inspection.  The payload is encoded once, when the entry is written.
+parses only line 2.  A read made for a request (the Runner's) takes the
+result's config from the requesting experiment instead of rebuilding
+it from line 2: the checked ``spec_hash`` binds the entry to that
+spec.  Nothing reads line 3, the spec, which is kept for inspection.
+The payload is encoded once, when the entry is written.
 
 Entries of the earlier one-document layout (``repro-store-entry/1``) are
 not entries of this one: a read misses them, ``stats`` counts them
@@ -80,13 +83,17 @@ import logging
 import os
 import tempfile
 import time
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 from repro.system.simulation import (
     RESULT_SCHEMA,
     SimulationResult,
     canonical_json,
 )
+
+if TYPE_CHECKING:
+    from repro.api.experiment import Experiment
 
 __all__ = [
     "STORE_SCHEMA",
@@ -187,11 +194,19 @@ def atomic_write_json(path: str, data: dict) -> str:
 
 
 def _atomic_write(path: str, blob: bytes) -> str:
-    """Publish ``blob`` at ``path`` by tmp file + ``os.replace``."""
+    """Publish ``blob`` at ``path`` by tmp file + ``os.replace``.
+
+    The directory is created only when it is missing: after a shard's
+    first write, a write makes no ``mkdir`` call.
+    """
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".tmp-", suffix=".json")
+    try:
+        fd, tmp_path = tempfile.mkstemp(
+            dir=directory, prefix=".tmp-", suffix=".json")
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(
+            dir=directory, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(blob)
@@ -282,8 +297,19 @@ class ResultStore:
 
     # -- reads ----------------------------------------------------------- #
 
-    def get(self, spec_hash: str) -> Optional[SimulationResult]:
+    def get(self, spec_hash: str,
+            experiment: Optional[Experiment] = None
+            ) -> Optional[SimulationResult]:
         """The stored result for a spec, or ``None``.
+
+        ``experiment`` is the request: the
+        :class:`~repro.api.experiment.Experiment` whose ``spec_hash()``
+        is ``spec_hash``.  A hit's ``config`` is then that experiment's
+        own ``config`` object.  The header's checked ``spec_hash`` binds
+        the entry to the request's spec, which covers the config, so the
+        payload's copy of the config is not rebuilt.  Without a request
+        (``in``, inventory reads) the config is rebuilt from the
+        payload.
 
         A missing, torn, corrupt, digest-mismatched or wrong-fingerprint
         entry all read as a plain miss: the caller re-simulates and the
@@ -310,15 +336,22 @@ class ResultStore:
                 or header.get("spec_hash") != spec_hash:
             return None
         try:
-            return SimulationResult.from_dict(json.loads(payload))
+            return SimulationResult.from_dict(
+                json.loads(payload),
+                None if experiment is None else experiment.config)
         except (AttributeError, KeyError, TypeError, ValueError):
             return None
 
-    def get_many(self, spec_hashes: Iterable[str]) -> Dict[str, SimulationResult]:
-        """Spec hash -> result for every hit among ``spec_hashes``."""
+    def get_many(self, requests: Mapping[str, Experiment]
+                 ) -> Dict[str, SimulationResult]:
+        """Spec hash -> result for every hit among ``requests``.
+
+        ``requests`` maps each spec hash to the experiment asking for
+        it; every read goes through :meth:`get` with its request.
+        """
         out: Dict[str, SimulationResult] = {}
-        for spec_hash in spec_hashes:
-            result = self.get(spec_hash)
+        for spec_hash, experiment in requests.items():
+            result = self.get(spec_hash, experiment)
             if result is not None:
                 out[spec_hash] = result
         return out

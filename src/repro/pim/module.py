@@ -40,6 +40,7 @@ from repro.sim.stats import Number, mean_into
 _LOAD = MessageType.LOAD
 _STORE = MessageType.STORE
 _WRITEBACK = MessageType.WRITEBACK
+_FLUSH = MessageType.FLUSH
 _PIM_OP = MessageType.PIM_OP
 
 
@@ -131,24 +132,29 @@ class PimModule(Component):
         return (cap is None or self._buffered_ops < cap,
                 self._queued_accesses < self.access_queue_capacity)
 
-    #: Message kinds the module services (it is the memory for PIM scopes).
-    ACCEPTED_TYPES = frozenset({
-        MessageType.PIM_OP, MessageType.LOAD, MessageType.STORE,
-        MessageType.WRITEBACK, MessageType.FLUSH,
-    })
-
     def offer(self, msg: Message, sender: Optional[Component] = None) -> bool:
         """Accept ``msg`` unless its queue is full.  Nothing is parked on
-        a refusal: the MC reads :meth:`admission` before every offer."""
-        if msg.mtype not in self.ACCEPTED_TYPES:
-            raise ValueError(f"the PIM module cannot service {msg.mtype}")
-        op_room, access_room = self.admission()
-        if not (op_room if msg.mtype is _PIM_OP else access_room):
-            return False
+        a refusal: the MC reads :meth:`admission` before every offer.
+
+        The module is the memory for PIM scopes: it services PIM ops,
+        loads, stores, writebacks and flushes, and raises
+        ``ValueError`` on any other kind."""
+        # admission()'s room check, for the one queue this kind uses.
+        mtype = msg.mtype
+        if mtype is _PIM_OP:
+            cap = self.config.buffer_capacity
+            if cap is not None and self._buffered_ops >= cap:
+                return False
+        elif (mtype is _LOAD or mtype is _STORE or mtype is _WRITEBACK
+              or mtype is _FLUSH):
+            if self._queued_accesses >= self.access_queue_capacity:
+                return False
+        else:
+            raise ValueError(f"the PIM module cannot service {mtype}")
         trace = self._trace
         if trace is not None:
-            trace.record(self.sim.now, self.name, msg.mtype.name, msg)
-        if msg.mtype is _PIM_OP:
+            trace.record(self.sim.now, self.name, mtype.name, msg)
+        if mtype is _PIM_OP:
             # Fig. 10a/b statistics: sampled at op arrival, before insertion.
             self._op_arrivals += 1
             self._buffered_at_arrival += self._buffered_ops
@@ -166,10 +172,13 @@ class PimModule(Component):
             return True
         else:
             self._queued_accesses += 1
-        queue = self._scope_queues.setdefault(msg.scope, deque())
+        scope = msg.scope
+        queue = self._scope_queues.get(scope)
+        if queue is None:
+            queue = self._scope_queues[scope] = deque()
         queue.append(msg)
-        if msg.scope not in self._busy_scopes:
-            self.sim.call_at_now(self._advance_scope_bound, msg.scope)
+        if scope not in self._busy_scopes:
+            self.sim.call_at_now(self._advance_scope_bound, scope)
         return True
 
     def _conflicts_with_ops(self, msg: Message) -> bool:
@@ -190,7 +199,9 @@ class PimModule(Component):
         if not queue:
             return
         msg = queue[0]
-        if msg.mtype is MessageType.PIM_OP and self._at_concurrency_limit():
+        if msg.mtype is _PIM_OP \
+                and self.config.max_concurrent_scopes is not None \
+                and self._at_concurrency_limit():
             stalls = self._stalls
             if stalls is not None:
                 # One contention incident per head op parked at the

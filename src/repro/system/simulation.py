@@ -179,12 +179,20 @@ class SimulationResult:
         return data
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "SimulationResult":
+    def from_dict(cls, data: Mapping[str, object],
+                  config: Optional[SystemConfig] = None) -> "SimulationResult":
         """Rebuild a result from its :meth:`to_dict` form.
 
         An explicit ``schema`` tag other than :data:`RESULT_SCHEMA` is
         rejected; a missing tag is accepted for campaign artifacts
         written before the tag existed.
+
+        ``config``, when given, is the result's config, and the
+        payload's ``config`` is not read: the result store passes the
+        config of the experiment whose spec the entry is bound to.  The
+        result keeps ``data``'s stats mapping and its groups as they
+        are, without copying them, so pass a payload the result may own
+        (one just parsed).
         """
         schema = data.get("schema")
         if schema is not None and schema != RESULT_SCHEMA:
@@ -192,10 +200,10 @@ class SimulationResult:
                 f"unsupported result schema {schema!r} "
                 f"(expected {RESULT_SCHEMA!r})")
         return cls(
-            config=config_from_dict(data["config"]),
+            config=(config_from_dict(data["config"]) if config is None
+                    else config),
             run_time=data["run_time"],
-            stats={name: dict(group)
-                   for name, group in data["stats"].items()},
+            stats=data["stats"],
             stale_reads=data["stale_reads"],
             events=data["events"],
             obs=data.get("obs"),

@@ -270,6 +270,31 @@ def test_sweep_run_trace_renders_the_stall_table(tmp_path, capsys):
     assert "## Stall attribution per traced point" in report
 
 
+def test_traced_rerun_over_an_untraced_store_simulates_traced(tmp_path,
+                                                              capsys):
+    """`sweep run --trace` over a store an untraced run filled: each
+    untraced entry is a miss, so all four points simulate traced and
+    the stall table prints; the traced entries then serve a traced
+    rerun with no dispatch, and the digest never moves."""
+    store = str(tmp_path / "store")
+    assert main(["sweep", "run", "smoke", "--no-progress",
+                 "--store", store]) == 0
+    untraced = capsys.readouterr().out
+    assert "backend dispatches: 4" in untraced
+    for rerun_dispatches in (4, 0):
+        assert main(["sweep", "run", "smoke", "--trace", "--no-progress",
+                     "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "stall attribution per traced point" in out
+        assert f"backend dispatches: {rerun_dispatches}" in out
+        assert _digest_line(out) == _digest_line(untraced)
+
+
+def _digest_line(out: str) -> str:
+    return next(line for line in out.splitlines()
+                if line.startswith("digest: "))
+
+
 def test_sweep_run_untraced_has_no_stall_table(capsys):
     assert main(["sweep", "run", "smoke", "--no-progress"]) == 0
     out = capsys.readouterr().out

@@ -150,6 +150,43 @@ def test_run_settled_trace_overlay_does_not_fork_the_cache():
     assert cached is traced
 
 
+def test_traced_batch_is_served_only_results_with_obs(tmp_path):
+    """A traced batch counts a memory or store hit without `obs` as a
+    miss: the point simulates traced, and its traced result replaces
+    the untraced one in both tiers."""
+    from repro.sim.config import TraceConfig
+
+    trace = TraceConfig(enabled=True, ring_size=0)
+    exp = _experiment(ConsistencyModel.ATOMIC)
+    store = ResultStore(str(tmp_path / "a"))
+    runner = Runner(store=store)
+    (plain, err), = runner.run_settled([exp])
+    assert err is None and plain.obs is None
+    assert runner.dispatch_count == 1
+
+    # a memory hit without obs
+    (traced, err), = runner.run_settled([exp], trace=trace)
+    assert err is None and traced.obs is not None
+    assert runner.dispatch_count == 2
+    assert (traced.config, traced.run_time, traced.events, traced.stats) == \
+        (plain.config, plain.run_time, plain.events, plain.stats)
+    assert runner.run_settled([exp], trace=trace) == [(traced, None)]
+    assert runner.dispatch_count == 2
+    assert store.get(exp.spec_hash()).obs == traced.obs
+
+    # a store hit without obs
+    other = ResultStore(str(tmp_path / "b"))
+    Runner(store=other).run(exp)
+    cold = Runner(store=other)
+    (result, err), = cold.run_settled([exp], trace=trace)
+    assert err is None and result.obs == traced.obs
+    assert (cold.dispatch_count, cold.store_hits) == (1, 0)
+    warm = Runner(store=other)
+    (result, err), = warm.run_settled([exp], trace=trace)
+    assert err is None and result.obs == traced.obs
+    assert (warm.dispatch_count, warm.store_hits) == (0, 1)
+
+
 def test_run_all_raises_only_after_storing_every_success(tmp_path):
     """A failed point makes run_all raise a RuntimeError naming its spec
     hash -- after the batch settled, so the good point is stored."""

@@ -1,14 +1,20 @@
 """The persistent result store: layout, integrity, Runner tiering."""
 
+import cProfile
+import itertools
 import json
 import os
+import pstats
 
 import pytest
 
+import repro.sim.config as sim_config
 from helpers import CountingBackend, read_entry, write_entry
-from repro.api import Experiment, ResultStore, Runner, SerialBackend
-from repro.api.backends import ProcessPoolBackend
+from repro.api import (Campaign, Experiment, ResultStore, Runner,
+                       SerialBackend, get_campaign, run_campaign)
+from repro.api.backends import ProcessPoolBackend, execute_experiment
 from repro.api.store import STORE_SCHEMA, code_fingerprint
+from repro.sim.config import TraceConfig
 from repro.system.simulation import (
     RESULT_SCHEMA,
     SimulationResult,
@@ -33,8 +39,6 @@ def _experiment(**overrides) -> Experiment:
 @pytest.fixture(scope="module")
 def litmus_result():
     """One simulated result the read-path tests share."""
-    from repro.api.backends import execute_experiment
-
     return execute_experiment(_experiment())
 
 
@@ -52,6 +56,20 @@ def test_result_dict_round_trip_is_exact(litmus_result):
     assert clone.stale_reads == litmus_result.stale_reads
     assert clone.events == litmus_result.events
     assert clone.stats == litmus_result.stats
+
+
+def test_from_dict_round_trips_equal(litmus_result):
+    """`from_dict(to_dict(r)) == r`, traced or not, and with the config
+    passed in; the rebuilt result keeps the parsed stats groups."""
+    traced = execute_experiment(
+        _experiment(), trace=TraceConfig(enabled=True, ring_size=0))
+    assert traced.obs is not None
+    for result in (litmus_result, traced):
+        data = json.loads(canonical_json(result.to_dict()))
+        assert SimulationResult.from_dict(data) == result
+        clone = SimulationResult.from_dict(data, result.config)
+        assert clone == result and clone.config is result.config
+        assert clone.stats is data["stats"]
 
 
 def test_from_dict_rejects_foreign_schema(litmus_result):
@@ -374,6 +392,32 @@ def test_corpus_files_keep_their_bytes(tmp_path):
             assert handle.read() == expected.getvalue().encode("utf-8")
 
 
+def test_put_makes_a_shard_directory_only_when_it_is_missing(
+        tmp_path, litmus_result, monkeypatch):
+    """The first put into a fresh root creates the root and its shard; a
+    second put into that shard makes no `mkdir` call."""
+    made = []
+    mkdir = os.mkdir
+
+    def counting_mkdir(path, *args, **kwargs):
+        made.append(os.fspath(path))
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", counting_mkdir)
+    store = ResultStore(str(tmp_path / "fresh"))
+    exp = _experiment()
+    path = store.put(exp.spec_hash(), litmus_result, exp)
+    shard = os.path.dirname(path)
+    assert made == [store.root, shard]
+
+    made.clear()
+    neighbour = next(h for h in (f"spec-{i}" for i in itertools.count())
+                     if store.key(h)[:2] == os.path.basename(shard))
+    assert os.path.dirname(store.put(neighbour, litmus_result)) == shard
+    assert made == []
+    assert store.get(neighbour).stats == litmus_result.stats
+
+
 def test_concurrent_writers_last_rename_wins(tmp_path, litmus_result):
     """Two writers racing on one key leave exactly one valid entry."""
     exp = _experiment()
@@ -501,3 +545,92 @@ def test_prune_candidates_previews_without_removing(tmp_path, litmus_result):
     assert store.stats()["entries"] == 2
     assert store.prune(stale=True) == 1
     assert store.stats()["entries"] == 1
+
+
+# --------------------------------------------------------------------- #
+# reads with the request
+# --------------------------------------------------------------------- #
+
+
+def _cheap_paper_grid() -> Campaign:
+    """paper-grid's 72 points at the cheap size perfbench's grid-warm
+    replays: YCSB points scan two ops of at most 8 records, TPC-H
+    queries run once."""
+    data = get_campaign("paper-grid").to_dict()
+    for sweep in data["sweeps"]:
+        params = sweep["base"]["params"]
+        if sweep["base"]["workload"] == "ycsb":
+            params.update(num_ops=2, scan_fraction=1.0, max_scan_records=8)
+        else:
+            params["runs"] = 1
+    return Campaign.from_dict(data)
+
+
+def _config_from_dict_calls(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), its number of config_from_dict calls)``."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        out = fn(*args, **kwargs)
+    finally:
+        profiler.disable()
+    calls = sum(nc for (filename, _line, name), (_cc, nc, *_rest)
+                in pstats.Stats(profiler).stats.items()
+                if name == "config_from_dict"
+                and filename == sim_config.__file__)
+    return out, calls
+
+
+def test_warm_replay_builds_one_config_per_point(tmp_path):
+    """A warm replay of the cheap paper grid makes one `config_from_dict`
+    call per point, when its spec is expanded: a hit takes the
+    request's config instead of rebuilding the payload's (144 calls per
+    pass when every read rebuilt it).  Counts calls; times nothing."""
+    campaign = _cheap_paper_grid()
+    cold = run_campaign(campaign, store=str(tmp_path))
+    assert len(cold.points) == 72 and not cold.failed_points
+
+    runner = Runner(store=str(tmp_path))
+    warm, calls = _config_from_dict_calls(run_campaign, campaign,
+                                          runner=runner)
+    assert runner.dispatch_count == 0 and runner.store_hits == 72
+    assert warm.digest() == cold.digest()
+    assert calls == 72
+
+
+def test_a_hit_takes_the_request_config(tmp_path):
+    """Every hit's config is its requesting experiment's own `config`
+    object, read through the Runner or through `get` directly."""
+    campaign = get_campaign("smoke")
+    store = ResultStore(str(tmp_path))
+    run_campaign(campaign, store=store)
+    warm = run_campaign(campaign, runner=Runner(store=store))
+    for point in warm.points:
+        assert point.result.config is point.experiment.config
+        exp = point.experiment
+        assert store.get(exp.spec_hash(), exp).config is exp.config
+
+
+@pytest.mark.parametrize("trace", [None, TraceConfig(enabled=True,
+                                                     ring_size=0)],
+                         ids=["untraced", "traced"])
+def test_a_hit_equals_the_request_free_read(tmp_path, trace):
+    """For every point of a stored campaign, the hit equals the read
+    that rebuilds the config from the payload, and the result the cold
+    run returned.  A traced run's result carries the experiment's
+    config, not the trace overlay, so this holds traced too."""
+    campaign = get_campaign("smoke")
+    store = ResultStore(str(tmp_path))
+    cold = run_campaign(campaign, store=store, trace=trace)
+    assert not cold.failed_points
+    for point in cold.points:
+        exp = point.experiment
+        hit = store.get(exp.spec_hash(), exp)
+        reference = store.get(exp.spec_hash())
+        assert hit.config is exp.config
+        assert (hit.config, hit.run_time, hit.events, hit.stale_reads,
+                hit.stats, hit.obs) == (
+                    reference.config, reference.run_time, reference.events,
+                    reference.stale_reads, reference.stats, reference.obs)
+        assert hit == reference == point.result
+        assert (hit.obs is None) == (trace is None)

@@ -172,10 +172,12 @@ def test_obs_payload_rides_only_on_traced_results():
     assert "stalls" in traced.obs
     assert traced.obs["events_recorded"] > 0
     assert traced.to_dict()["obs"] == traced.obs
-    # identical simulated behavior either way
+    # identical simulated behavior either way, and the experiment's own
+    # config: the overlay shows only in obs
     assert (untraced.run_time, untraced.events, untraced.stale_reads,
-            untraced.stats) == (traced.run_time, traced.events,
-                                traced.stale_reads, traced.stats)
+            untraced.stats, untraced.config) == (
+                traced.run_time, traced.events, traced.stale_reads,
+                traced.stats, traced.config)
 
 
 def test_traced_config_round_trips_through_dict():

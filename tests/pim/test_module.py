@@ -152,8 +152,73 @@ def test_store_and_writeback_update_memory(sim):
     assert requester.of_type(MessageType.STORE_ACK)
 
 
+def _state(module):
+    """Everything an offer may change: counters, queues, scheduled work."""
+    return (module.snapshot(), module._buffered_ops, module._queued_accesses,
+            dict(module._queued_ops_by_scope),
+            {scope: list(queue)
+             for scope, queue in module._scope_queues.items()},
+            module.sim.pending_events())
+
+
 def test_rejects_non_pim_message_types(sim):
-    module, _ = _module(sim)
+    """PIM ops, loads, stores, writebacks and flushes are accepted; any
+    other kind raises ValueError and leaves the module untouched."""
     from repro.sim.messages import Message
-    with pytest.raises(ValueError):
-        module.offer(Message(MessageType.PIM_ACK))
+
+    accepted = {MessageType.PIM_OP, MessageType.LOAD, MessageType.STORE,
+                MessageType.WRITEBACK, MessageType.FLUSH}
+    module, _ = _module(sim)
+    requester = ResponseCollector()
+    for mtype in MessageType:
+        msg = Message(mtype, addr=0x40, scope=0, reply_to=requester)
+        if mtype in accepted:
+            assert module.offer(msg)
+            continue
+        before = _state(module)
+        with pytest.raises(ValueError, match="cannot service"):
+            module.offer(msg)
+        assert _state(module) == before
+    sim.run()
+    assert module.snapshot()["ops_executed"] == 1
+
+
+def test_full_queues_refuse_offers_without_side_effects(sim):
+    """An op facing a full op buffer and an access facing a full access
+    queue are refused; neither counts, queues or schedules anything."""
+    module, _ = _module(sim, capacity=1)
+    module.access_queue_capacity = 1
+    requester = ResponseCollector()
+    assert module.offer(make_pim(0))
+    assert module.offer(make_load(0x40, scope=0, reply_to=requester))
+    assert module.admission() == (False, False)
+    before = _state(module)
+    assert not module.offer(make_pim(1))
+    assert not module.offer(make_load(0x80, scope=1, reply_to=requester))
+    assert _state(module) == before
+
+
+def test_unlimited_module_reads_no_limit_and_offer_no_admission(
+        sim, monkeypatch):
+    """An offer checks the room of its own queue (the MC has just read
+    admission()), and without max_concurrent_scopes no op start asks
+    for the concurrency limit."""
+    calls = []
+    for name in ("admission", "_at_concurrency_limit"):
+        def counted(self, _original=getattr(PimModule, name), _name=name):
+            calls.append(_name)
+            return _original(self)
+        monkeypatch.setattr(PimModule, name, counted)
+
+    module, _ = _module(sim, op_latency=10)
+    for scope in (0, 1, 0):
+        assert module.offer(make_pim(scope))
+    sim.run()
+    assert module.snapshot()["ops_executed"] == 3
+    assert calls == []
+
+    limited, _ = _module(sim, op_latency=10, max_concurrent_scopes=1)
+    limited.offer(make_pim(0))
+    sim.run()
+    assert calls == ["_at_concurrency_limit"]
+
